@@ -6,8 +6,12 @@ through the metric on the stored contravariant components:
     {f, g} = g^{mn} (df/dx^m dg/dp^n - df/dp^m dg/dx^n)
            + g^{mn} (df/dq^m dg/dpi^n - df/dpi^m dg/dq^n)
 
-All partial derivatives are central finite differences with coordinate-
-relative step.
+Phase functions take a ``(..., 16)`` array of points ordered (x, p, q, pi):
+x at indices 0-3, p at 4-7, q at 8-11 and pi at 12-15, each block holding
+contravariant components.  They return one value per row, so every gradient
+is one batched evaluation of the function at its 32 perturbed points.  All
+partial derivatives are central finite differences with coordinate-relative
+step (:func:`zitterkit.lagrangian.central_gradient`).
 
 Orientation.  Under this metric the literal bracket above yields
 {H, x} = -q, the opposite of the first canonical evolution equation
@@ -25,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lagrangian import ModelParams, PhasePoint
-from .minkowski import METRIC, FourVector
+from .lagrangian import ModelParams, PhasePoint, central_gradient
+from .minkowski import METRIC
 
 __all__ = [
     "BRACKET_ORIENTATION",
@@ -48,37 +52,17 @@ _BLOCKS = {"x": slice(0, 4), "p": slice(4, 8), "q": slice(8, 12), "pi": slice(12
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """Real-valued function of a phase-space point, with a label."""
+    """Real-valued function on phase space, with a label.
 
-    fn: Callable[[PhasePoint], float]
+    ``fn`` maps a ``(..., 16)`` array ordered (x, p, q, pi) to one value per
+    row (see the module docstring for the index map).
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str
 
-    def __call__(self, s: PhasePoint) -> float:
-        return self.fn(s)
-
-
-def _pack(s: PhasePoint) -> np.ndarray:
-    return np.concatenate([s.x.components, s.p.components,
-                           s.q.components, s.pi.components])
-
-
-def _unpack(y: np.ndarray, tau: float) -> PhasePoint:
-    return PhasePoint(
-        x=FourVector.from_array(y[0:4]), p=FourVector.from_array(y[4:8]),
-        q=FourVector.from_array(y[8:12]), pi=FourVector.from_array(y[12:16]),
-        tau=tau)
-
-
-def _grad16(f: PhaseFunction, y0: np.ndarray, tau: float, h: float) -> np.ndarray:
-    g = np.empty(16)
-    for i in range(16):
-        step = h * (1.0 + abs(y0[i]))
-        yp = y0.copy()
-        ym = y0.copy()
-        yp[i] += step
-        ym[i] -= step
-        g[i] = (f(_unpack(yp, tau)) - f(_unpack(ym, tau))) / (2.0 * step)
-    return g
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.fn(y)
 
 
 def _combine(gf: np.ndarray, gg: np.ndarray) -> float:
@@ -94,10 +78,8 @@ def poisson(f: PhaseFunction, g: PhaseFunction, s: PhasePoint, h: float = 1e-4) 
     """Literal finite-difference Poisson bracket {f, g} at the point s."""
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
-    y0 = _pack(s)
-    gf = _grad16(f, y0, s.tau, h)
-    gg = _grad16(g, y0, s.tau, h)
-    return _combine(gf, gg)
+    y0 = s.as_array()
+    return _combine(central_gradient(f, y0, h), central_gradient(g, y0, h))
 
 
 def bracket_rate(hamiltonian_fn: PhaseFunction, g: PhaseFunction, s: PhasePoint,
@@ -113,7 +95,14 @@ def coordinate(block: str, mu: int) -> PhaseFunction:
         raise ValueError(f"block must be one of {sorted(_BLOCKS)}, got {block!r}")
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"index must be 0..3, got {mu}")
-    return PhaseFunction(fn=lambda s: getattr(s, block)[mu], label=f"{block}^{mu}")
+    i = _BLOCKS[block].start + mu
+    return PhaseFunction(fn=lambda y: y[..., i], label=f"{block}^{mu}")
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked matmul reduces each row in the same order as the 1-D product
+    # a @ b; .sum(-1) and einsum do not, and change the last bits of H
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def hamiltonian_function(params: ModelParams) -> PhaseFunction:
@@ -123,13 +112,10 @@ def hamiltonian_function(params: ModelParams) -> PhaseFunction:
     m = params.m
     k1 = params.k1
 
-    def fn(s: PhasePoint) -> float:
-        pl = METRIC * s.p.components
-        ql = METRIC * s.q.components
-        pil = METRIC * s.pi.components
-        return (float(pl @ s.q.components)
-                - 0.5 * m * float(ql @ s.q.components)
-                + float(pil @ s.pi.components) / (2.0 * k1))
+    def fn(y: np.ndarray) -> np.ndarray:
+        p, q, pi = y[..., 4:8], y[..., 8:12], y[..., 12:16]
+        return (_rowdot(METRIC * p, q) - 0.5 * m * _rowdot(METRIC * q, q)
+                + _rowdot(METRIC * pi, pi) / (2.0 * k1))
 
     return PhaseFunction(fn=fn, label="H")
 
@@ -137,7 +123,7 @@ def hamiltonian_function(params: ModelParams) -> PhaseFunction:
 def canonical_spin_function(mu: int, nu: int) -> PhaseFunction:
     """Canonical spin-tensor component q^mu pi^nu - q^nu pi^mu."""
     return PhaseFunction(
-        fn=lambda s: s.q[mu] * s.pi[nu] - s.q[nu] * s.pi[mu],
+        fn=lambda y: y[..., 8 + mu] * y[..., 12 + nu] - y[..., 8 + nu] * y[..., 12 + mu],
         label=f"S^{mu}{nu}")
 
 
@@ -173,11 +159,6 @@ class AppendixBracketReport:
         }
 
 
-def _bracket_with_grad(gf: np.ndarray, g: PhaseFunction, y0: np.ndarray,
-                       tau: float, h: float) -> float:
-    return _combine(gf, _grad16(g, y0, tau, h))
-
-
 def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> AppendixBracketReport:
     """Evaluate the five bracket-form evolution identities of the free n=1
     theory at one phase-space point and report their residual maxima."""
@@ -185,13 +166,12 @@ def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> Appe
         raise ValueError(f"appendix verification requires n=1, got n={params.n}")
     m = params.m
     k1 = params.k1
-    hf = hamiltonian_function(params)
-    y0 = _pack(s)
-    gh = _grad16(hf, y0, s.tau, h)
+    y0 = s.as_array()
+    gh = central_gradient(hamiltonian_function(params), y0, h)
     sgn = BRACKET_ORIENTATION
 
     def rate(g: PhaseFunction) -> float:
-        return sgn * _bracket_with_grad(gh, g, y0, s.tau, h)
+        return sgn * _combine(gh, central_gradient(g, y0, h))
 
     r_p = max(abs(rate(coordinate("p", mu))) for mu in range(4))
     r_x = max(abs(rate(coordinate("x", mu)) - s.q[mu]) for mu in range(4))

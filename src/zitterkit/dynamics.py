@@ -31,6 +31,7 @@ __all__ = [
     "mean_time_dilation",
     "check_superluminal",
     "rk4_path",
+    "step_count",
     "zero_crossings",
     "estimate_frequency",
 ]
@@ -42,6 +43,18 @@ class IntegrationDiverged(RuntimeError):
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_end, at least one.
+
+    Raises ValueError unless both t_end and dt are positive.
+    """
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return max(1, int(round(t_end / dt)))
 
 
 def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
@@ -235,11 +248,7 @@ class Trajectory:
 
     def state(self, i: int) -> PhasePoint:
         self._require("hamilton")
-        b = self.blocks[i]
-        return PhasePoint(
-            x=FourVector.from_array(b[0]), p=FourVector.from_array(b[1]),
-            q=FourVector.from_array(b[2]), pi=FourVector.from_array(b[3]),
-            tau=float(self.times[i]))
+        return PhasePoint.from_array(self.blocks[i].reshape(16), tau=float(self.times[i]))
 
     @property
     def states(self) -> list[PhasePoint]:
@@ -304,10 +313,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     """
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
-    if tau_end <= 0:
-        raise ValueError(f"tau_end must be positive, got {tau_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(tau_end, dt)
     m = params.m
     k1 = params.k1
     grad = None if potential is None else potential._gradient_components
@@ -323,10 +329,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
         out[12:16] = m * y[8:12] - y[4:8]
         return out
 
-    y0 = np.concatenate([s0.x.components, s0.p.components,
-                         s0.q.components, s0.pi.components])
-    n_steps = max(1, int(round(tau_end / dt)))
-    times, samples = rk4_path(deriv, y0, s0.tau, dt, n_steps, stride)
+    times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride)
     blocks = samples.reshape(len(times), 4, 4)
     records = _hamilton_records(params, times, blocks, potential)
     return Trajectory(params=params, kind="hamilton", times=times,
@@ -343,14 +346,10 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
     v^(0) .. v^(2n-1), the highest derivative being closed through the
     momentum relation.  n=0 is uniform motion and is evaluated exactly.
     """
-    if tau_end <= 0:
-        raise ValueError(f"tau_end must be positive, got {tau_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(tau_end, dt)
     n = params.n
     p = canonical_momentum(params, stack)
 
-    n_steps = max(1, int(round(tau_end / dt)))
     if n == 0:
         idx = np.arange(0, n_steps + 1, stride)
         if idx[-1] != n_steps:
@@ -451,8 +450,8 @@ def monitor(traj: Trajectory, params: ModelParams | None = None) -> MonitorRepor
     energy = traj.records["energy"]
     e0 = energy[0]
     energy_rel_drift = float(np.abs(energy - e0).max() / (abs(e0) if e0 != 0 else 1.0))
-    pv_constraint = float(np.abs((pl * q).sum(1) - m).max())
-    onshell_constraint = float(np.abs((pl * p).sum(1) - m * m).max())
+    pv_constraint = float(np.abs(traj.records["pv"] - m).max())
+    onshell_constraint = float(np.abs(traj.records["onshell"] - m * m).max())
 
     mid = slice(2, n_uni - 2)
     sdot = _d5(s_tensor[:n_uni], h)

@@ -26,7 +26,22 @@ __all__ = [
     "newton_law_residual",
     "characteristic_frequencies",
     "companion_roots",
+    "central_gradient",
 ]
+
+
+def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function at the point x.
+
+    Coordinate i moves by ``h_i = step * (1 + |x_i|)``.  ``f_rows`` is called
+    once, on the (2D, D) array of the points ``x + h_i e_i`` followed by
+    ``x - h_i e_i``, and must return one value per row.
+    """
+    x = np.asarray(x, dtype=float)
+    h = step * (1.0 + np.abs(x))
+    shifts = np.diag(h)
+    values = f_rows(np.concatenate([x + shifts, x - shifts]))
+    return (values[:x.size] - values[x.size:]) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,18 @@ class PhasePoint:
         if not np.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
 
+    @classmethod
+    def from_array(cls, y, tau: float = 0.0) -> "PhasePoint":
+        """State from a 16-vector ordered (x, p, q, pi)."""
+        blocks = np.asarray(y, dtype=float).reshape(4, 4)
+        x, p, q, pi = (FourVector.from_array(b) for b in blocks)
+        return cls(x=x, p=p, q=q, pi=pi, tau=tau)
+
+    def as_array(self) -> np.ndarray:
+        """The 16-vector (x, p, q, pi); the inverse of :meth:`from_array`."""
+        return np.concatenate([self.x.components, self.p.components,
+                               self.q.components, self.pi.components])
+
 
 class ScalarPotential:
     """Scalar potential on spacetime together with its raised-index gradient.
@@ -127,14 +154,10 @@ class ScalarPotential:
     def _gradient_components(self, xc: np.ndarray) -> np.ndarray:
         if self._grad is not None:
             return self._grad(FourVector.from_array(xc)).components
-        g = np.empty(4)
-        for mu in range(4):
-            h = self.step * (1.0 + abs(xc[mu]))
-            xp = xc.copy()
-            xm = xc.copy()
-            xp[mu] += h
-            xm[mu] -= h
-            g[mu] = (self._fn(FourVector.from_array(xp)) - self._fn(FourVector.from_array(xm))) / (2.0 * h)
+        # the user fn takes one FourVector, so the rows are evaluated one by one
+        g = central_gradient(
+            lambda rows: np.array([self._fn(FourVector.from_array(r)) for r in rows]),
+            xc, self.step)
         return METRIC * g
 
     @classmethod

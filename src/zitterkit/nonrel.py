@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import rk4_path
-from .lagrangian import ModelParams
+from .dynamics import rk4_path, step_count
+from .lagrangian import ModelParams, central_gradient
 
 __all__ = [
     "KinState3D",
@@ -70,9 +70,9 @@ class Potential3D:
     """Scalar potential on 3-space with its gradient.
 
     ``fn`` and, when given, ``grad`` must broadcast over a trailing axis of
-    size 3 so whole trajectories can be evaluated at once.  Without an
-    analytic gradient, central differences with step ``step * (1 + |x_i|)``
-    are used.
+    size 3 so whole trajectories can be evaluated at once; ``value_many`` and
+    ``gradient_many`` raise ValueError when they do not.  Without an analytic
+    gradient, central differences with step ``step * (1 + |x_i|)`` are used.
     """
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
@@ -89,33 +89,31 @@ class Potential3D:
         xs = np.asarray(xs, dtype=float)
         try:
             out = np.asarray(self._fn(xs), dtype=float)
-            if out.shape == xs.shape[:-1]:
-                return out
-        except Exception:
-            pass
-        return np.array([self.value(x) for x in xs])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"potential {self.label!r} does not broadcast over "
+                             f"points of shape {xs.shape}: {exc}") from exc
+        if out.shape != xs.shape[:-1]:
+            raise ValueError(f"potential {self.label!r} returned shape {out.shape} "
+                             f"for points of shape {xs.shape}")
+        return out
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float)
-        g = np.empty(3)
-        for i in range(3):
-            h = self.step * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            g[i] = (self.value(xp) - self.value(xm)) / (2.0 * h)
-        return g
+        # fn need not broadcast here, so the rows are evaluated one by one
+        return central_gradient(lambda rows: np.array([self.value(r) for r in rows]),
+                                x, self.step)
 
     def gradient_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if self._grad is not None:
-            out = np.asarray(self._grad(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        return np.stack([self.gradient(x) for x in xs])
+        if self._grad is None:
+            return np.stack([self.gradient(x) for x in xs])
+        out = np.asarray(self._grad(xs), dtype=float)
+        if out.shape != xs.shape:
+            raise ValueError(f"gradient of potential {self.label!r} returned shape "
+                             f"{out.shape} for points of shape {xs.shape}")
+        return out
 
     def force(self, x) -> np.ndarray:
         return -self.gradient(x)
@@ -196,10 +194,15 @@ class EnergyBreakdown:
         return self.kinetic_zbw
 
 
+def _kinetic_zbw(params: ModelParams, vs, accs, jerks):
+    """Non-Newtonian kinetic term -(hbar^2/4mc^4)(a^2/2 - adot.v) of each
+    row of the (..., 3) velocity, acceleration and jerk arrays."""
+    return -zbw_coefficient(params) * (0.5 * (accs**2).sum(-1) - (jerks * vs).sum(-1))
+
+
 def energy_breakdown(params: ModelParams, s: KinState3D, pot: Potential3D) -> EnergyBreakdown:
-    lam = zbw_coefficient(params)
     kn = 0.5 * params.m * float(np.dot(s.v, s.v))
-    kz = -lam * (0.5 * float(np.dot(s.a, s.a)) - float(np.dot(s.j, s.v)))
+    kz = float(_kinetic_zbw(params, s.v, s.a, s.j))
     u = pot.value(s.x)
     return EnergyBreakdown(kinetic_newton=kn, kinetic_zbw=kz, kinetic=kn + kz,
                            potential=u, total=kn + kz + u)
@@ -214,8 +217,7 @@ def quantum_potential_analogue(params: ModelParams, s: KinState3D) -> float:
     """Classical counterpart of the quantum potential of wave mechanics:
     -(hbar^2 / 4 m c^4) (a^2/2 - adot.v), identical to the non-Newtonian
     kinetic term."""
-    lam = zbw_coefficient(params)
-    return -lam * (0.5 * float(np.dot(s.a, s.a)) - float(np.dot(s.j, s.v)))
+    return float(_kinetic_zbw(params, s.v, s.a, s.j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +252,11 @@ class Trajectory3D:
 
 
 def _make_traj(params, pot, times, xs, vs, accs, jerks, newtonian=False) -> Trajectory3D:
-    m = params.m
-    lam = zbw_coefficient(params)
-    kn = 0.5 * m * (vs**2).sum(1)
+    kn = 0.5 * params.m * (vs**2).sum(1)
     if newtonian:
         kz = np.zeros(len(times))
     else:
-        kz = -lam * (0.5 * (accs**2).sum(1) - (jerks * vs).sum(1))
+        kz = _kinetic_zbw(params, vs, accs, jerks)
     u = pot.value_many(xs)
     return Trajectory3D(params=params, times=times, xs=xs, vs=vs, accs=accs,
                         jerks=jerks, e_newton=kn, e_zbw=kz, e_kinetic=kn + kz,
@@ -270,10 +270,7 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     The highest derivative is solved for algebraically:
     djdt = (4 m c^4 / hbar^2) (F(x) - m a) with F = -grad U.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(t_end, dt)
     m = params.m
     inv_lam = 1.0 / zbw_coefficient(params)
     grad = pot.gradient
@@ -287,7 +284,6 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
         return out
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
-    n_steps = max(1, int(round(t_end / dt)))
     times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride)
     return _make_traj(params, pot, times, samples[:, 0:3], samples[:, 3:6],
                       samples[:, 6:9], samples[:, 9:12])
@@ -300,10 +296,7 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     Recorded accelerations are F/m and jerks are zero; the energy samples use
     the Newtonian kinetic term only.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
     m = params.m
@@ -316,7 +309,6 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
         return out
 
     y0 = np.concatenate([x0, v0])
-    n_steps = max(1, int(round(t_end / dt)))
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)
     xs = samples[:, 0:3]
     accs = -pot.gradient_many(xs) / m

@@ -39,7 +39,7 @@ def test_conjugate_pair_carries_the_metric():
 
 def test_bracket_of_function_with_itself_vanishes():
     rng = np.random.default_rng(1)
-    f = PhaseFunction(lambda s: s.p[1] * s.q[2] + 0.3 * s.x[0], label="f")
+    f = PhaseFunction(lambda y: y[..., 5] * y[..., 10] + 0.3 * y[..., 0], label="f")
     for _ in range(5):
         s = random_point(rng)
         assert abs(poisson(f, f, s)) <= 1e-12
@@ -56,8 +56,8 @@ def test_hamiltonian_conserves_momentum():
 
 def test_antisymmetry_at_random_points():
     rng = np.random.default_rng(3)
-    f = PhaseFunction(lambda s: s.p[0] * s.q[1] - 0.2 * s.pi[3] ** 2, label="f")
-    g = PhaseFunction(lambda s: s.x[2] * s.pi[1] + s.q[0], label="g")
+    f = PhaseFunction(lambda y: y[..., 4] * y[..., 9] - 0.2 * y[..., 15] ** 2, label="f")
+    g = PhaseFunction(lambda y: y[..., 2] * y[..., 13] + y[..., 8], label="g")
     for _ in range(100):
         s = random_point(rng)
         assert abs(poisson(f, g, s) + poisson(g, f, s)) <= 1e-9
@@ -65,14 +65,15 @@ def test_antisymmetry_at_random_points():
 
 def test_leibniz_rule():
     rng = np.random.default_rng(4)
-    f = PhaseFunction(lambda s: s.p[1] * s.q[1], label="f")
-    g = PhaseFunction(lambda s: s.x[1] + 0.5 * s.q[2], label="g")
-    h = PhaseFunction(lambda s: s.pi[1] - 0.25 * s.x[0], label="h")
-    gh = PhaseFunction(lambda s: g(s) * h(s), label="gh")
+    f = PhaseFunction(lambda y: y[..., 5] * y[..., 9], label="f")
+    g = PhaseFunction(lambda y: y[..., 1] + 0.5 * y[..., 10], label="g")
+    h = PhaseFunction(lambda y: y[..., 13] - 0.25 * y[..., 0], label="h")
+    gh = PhaseFunction(lambda y: g(y) * h(y), label="gh")
     for _ in range(20):
         s = random_point(rng)
+        y = s.as_array()
         lhs = poisson(f, gh, s)
-        rhs = poisson(f, g, s) * h(s) + g(s) * poisson(f, h, s)
+        rhs = poisson(f, g, s) * h(y) + g(y) * poisson(f, h, s)
         assert abs(lhs - rhs) <= 1e-7
 
 
@@ -80,7 +81,7 @@ def test_bracket_linearity_in_scaling():
     rng = np.random.default_rng(5)
     s = random_point(rng)
     hf = hamiltonian_function(PARAMS)
-    scaled = PhaseFunction(lambda pt: 3.5 * hf(pt), label="3.5*H")
+    scaled = PhaseFunction(lambda y: 3.5 * hf(y), label="3.5*H")
     g = coordinate("x", 1)
     assert poisson(scaled, g, s) == pytest.approx(3.5 * poisson(hf, g, s), rel=1e-9, abs=1e-9)
 
@@ -114,6 +115,29 @@ def test_verify_appendix_on_shell_point():
     report = verify_appendix(PARAMS, s)
     assert report.pi_max <= 1e-12
     assert report.max_residual <= 1e-9
+
+
+def test_verify_appendix_stays_array_first(monkeypatch):
+    # the bracket engine works on raw 16-vectors: no FourVector per perturbed point
+    s = random_point(np.random.default_rng(9))
+    calls = []
+    init = FourVector.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FourVector, "__init__", counting_init)
+    verify_appendix(PARAMS, s)
+    assert len(calls) <= 8
+
+
+def test_phase_point_array_round_trip():
+    y = np.arange(16.0) - 7.5
+    s = PhasePoint.from_array(y, tau=0.25)
+    np.testing.assert_array_equal(s.q.components, y[8:12])
+    assert s.tau == 0.25
+    np.testing.assert_array_equal(s.as_array(), y)
 
 
 def test_verify_appendix_rejects_wrong_order():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from zitterkit.brackets import verify_appendix
 from zitterkit.cli import (
     SCENARIO_SCHEMA,
     apply_override,
@@ -12,6 +13,8 @@ from zitterkit.cli import (
     load_scenario,
     main,
 )
+from zitterkit.lagrangian import ModelParams, PhasePoint
+from zitterkit.minkowski import FourVector
 from zitterkit.rng import SplitMix64
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -224,6 +227,28 @@ def test_bracket_suite_result():
     result = bracket_suite(seed=5, points=10)
     assert result.ok
     assert any("orientation=-1" in line for line in result.lines)
+
+
+def test_bracket_suite_names_worst_point():
+    # tol=0 fails every nonzero maximum; each FAIL names the argmax point
+    seed, points = 4, 12
+    result = bracket_suite(seed=seed, points=points, tol=0.0)
+    rng = SplitMix64(seed)
+    params = ModelParams(m=1.0)
+    reports = []
+    for _ in range(points):
+        y = rng.uniforms(16, -1.0, 1.0)
+        s = PhasePoint(*(FourVector.from_array(b) for b in y.reshape(4, 4)))
+        reports.append(verify_appendix(params, s).as_dict())
+    fails = 0
+    for line in result.lines[1:]:
+        label = line[2:38].rstrip()
+        if "FAIL at point" in line:
+            fails += 1
+            idx = int(line.rsplit(" ", 1)[1])
+            assert idx == int(np.argmax([r[label] for r in reports]))
+    assert fails >= 3
+    assert not result.ok
 
 
 def test_dirac_suite_result():

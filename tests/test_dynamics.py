@@ -16,6 +16,7 @@ from zitterkit.dynamics import (
 )
 from zitterkit.lagrangian import ModelParams, ScalarPotential, characteristic_frequencies
 from zitterkit.minkowski import FourVector, dot
+from zitterkit.nonrel import KinState3D, Potential3D, integrate_newtonian, integrate_nr
 
 PARAMS = ModelParams(m=1.0)
 P_CMF = FourVector(1, 0, 0, 0)
@@ -126,6 +127,26 @@ def test_integrate_hamilton_validation():
         integrate_hamilton(s0, PARAMS, None, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_hamilton(s0, ModelParams(m=1.0, n=0), None, 1.0, 1e-3)
+
+
+INTEGRATORS = {
+    "hamilton": lambda t_end, dt: integrate_hamilton(
+        standard_solution().initial_phase_point(), PARAMS, None, t_end, dt),
+    "free_general_n": lambda t_end, dt: integrate_free_general_n(
+        PARAMS, FourVector.zero(), [P_CMF, FourVector.zero(), FourVector.zero()], t_end, dt),
+    "nr": lambda t_end, dt: integrate_nr(
+        KinState3D(t=0, x=[0, 0, 0], v=[0.1, 0, 0], a=[0, 0, 0], j=[0, 0, 0]),
+        PARAMS, Potential3D.zero(), t_end, dt),
+    "newtonian": lambda t_end, dt: integrate_newtonian(
+        [0, 0, 0], [0.1, 0, 0], PARAMS, Potential3D.zero(), t_end, dt),
+}
+
+
+@pytest.mark.parametrize("t_end, dt", [(0.0, 1e-3), (-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3)])
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_integrators_reject_non_positive_time_arguments(name, t_end, dt):
+    with pytest.raises(ValueError, match="must be positive"):
+        INTEGRATORS[name](t_end, dt)
 
 
 def test_integrate_hamilton_divergence_reports_last_time():

@@ -95,6 +95,17 @@ def test_builtin_gradients_match_central_differences():
                                        rtol=1e-8, atol=1e-8)
 
 
+def test_non_broadcasting_potential_raises():
+    # a user fn for one point fails loudly on many points instead of looping
+    pot = Potential3D(Potential3D.harmonic(1.0).value, label="pointwise")
+    xs = np.zeros((5, 3))
+    with pytest.raises(ValueError, match="pointwise"):
+        pot.value_many(xs)
+    bad_grad = Potential3D(lambda x: 0.0, grad=lambda x: np.zeros(3), label="flat")
+    with pytest.raises(ValueError, match="flat"):
+        bad_grad.gradient_many(xs)
+
+
 def test_integrate_nr_free_circle_periodicity():
     s0 = circle_state()
     traj = integrate_nr(s0, PARAMS, Potential3D.zero(), math.pi, 1e-4)
