@@ -265,11 +265,13 @@ def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            pattern = f"{{:.{prec}g}}"
+            # rows are formatted and written one at a time: joining a whole
+            # table first would hold a second copy of it in memory
+            line = ",".join([f"%.{prec}g"] * len(header)) + "\n"
             for row in rows:
-                fh.write(",".join(pattern.format(v) for v in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
     else:
-        payload = {"columns": header, "rows": [[float(v) for v in row] for row in rows]}
+        payload = {"columns": header, "rows": rows.tolist()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")

@@ -58,10 +58,13 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
-    """Classical fixed-step RK4 over a flat state vector.
+    """Classical fixed-step RK4 over a state array of any shape.
 
-    Returns ``(times, samples)`` where samples are recorded every ``stride``
-    steps plus the final step.  The state update uses compensated summation so
+    ``deriv(t, y, out)`` writes the time derivative of the state ``y`` at
+    time ``t`` into ``out``, an array of the shape of ``y``, and must write
+    every element of it; ``y`` and ``out`` never overlap.  Returns
+    ``(times, samples)`` where samples are recorded every ``stride`` steps
+    plus the final step.  The state update uses compensated summation so
     that long runs stay truncation-limited rather than roundoff-limited.
     Raises :class:`IntegrationDiverged` if the state stops being finite.
     """
@@ -69,31 +72,44 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
         raise ValueError(f"dt must be positive, got {dt}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     y = np.array(y0, dtype=float)
     comp = np.zeros_like(y)
-    times = [t0]
-    samples = [y.copy()]
+    k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
+    n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
+    times = np.empty(n_samples)
+    samples = np.empty((n_samples,) + y.shape)
+    times[0] = t0
+    samples[0] = y
+    j = 1
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
             t = t0 + (i - 1) * dt
-            k1 = deriv(t, y)
-            k2 = deriv(t + half, y + half * k1)
-            k3 = deriv(t + half, y + half * k2)
-            k4 = deriv(t + dt, y + dt * k3)
-            inc = sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            tmp = inc - comp
-            ynew = y + tmp
-            comp = (ynew - y) - tmp
-            y = ynew
+            deriv(t, y, k1)
+            deriv(t + half, np.add(y, np.multiply(half, k1, out=stage), out=stage), k2)
+            deriv(t + half, np.add(y, np.multiply(half, k2, out=stage), out=stage), k3)
+            deriv(t + dt, np.add(y, np.multiply(dt, k3, out=stage), out=stage), k4)
+            np.add(k2, k3, out=inc)
+            np.multiply(2.0, inc, out=inc)
+            np.add(k1, inc, out=inc)
+            np.add(inc, k4, out=inc)
+            np.multiply(sixth, inc, out=inc)
+            np.subtract(inc, comp, out=inc)
+            np.add(y, inc, out=ynew)
+            np.subtract(ynew, y, out=comp)
+            np.subtract(comp, inc, out=comp)
+            y, ynew = ynew, y
             if not np.isfinite(y).all():
                 raise IntegrationDiverged(
                     f"state became non-finite at t={t0 + i * dt:g}", last_time=t)
             if i % stride == 0 or i == n_steps:
-                times.append(t0 + i * dt)
-                samples.append(y.copy())
-    return np.asarray(times), np.asarray(samples)
+                times[j] = t0 + i * dt
+                samples[j] = y
+                j += 1
+    return times, samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,16 +334,15 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     k1 = params.k1
     grad = None if potential is None else potential._gradient_components
 
-    def deriv(tau, y):
-        out = np.empty(16)
-        out[0:4] = y[8:12]
+    def deriv(tau, y, out):
+        q = y[8:12]
+        out[0:4] = q
         if grad is None:
             out[4:8] = 0.0
         else:
-            out[4:8] = -grad(y[0:4])
-        out[8:12] = y[12:16] / k1
-        out[12:16] = m * y[8:12] - y[4:8]
-        return out
+            np.negative(grad(y[0:4]), out=out[4:8])
+        np.divide(y[12:16], k1, out=out[8:12])
+        np.subtract(m * q, y[4:8], out=out[12:16])
 
     times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride)
     blocks = samples.reshape(len(times), 4, 4)
@@ -362,21 +377,18 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
         return Trajectory(params=params, kind="free_general", times=times,
                           blocks=blocks, momentum=p)
 
-    kn = params.k[n]
-    sign = (-1.0) ** (n + 1)
+    scale = (-1.0) ** (n + 1) / params.k[n]
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
     pc = p.components
     nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
 
-    def deriv(tau, y):
-        out = np.empty(4 * nblocks)
-        out[0:4] = y[4:8]  # xdot = v
-        out[4:4 * (nblocks - 1)] = y[8:4 * nblocks]  # shift the stack
-        acc = -pc.copy()
+    def deriv(tau, y, out):
+        out[0:4 * (nblocks - 1)] = y[4:4 * nblocks]  # xdot = v, shift the stack
+        acc = out[4 * (nblocks - 1):]
+        np.negative(pc, out=acc)
         for i, ci in enumerate(lower_coeffs):
             acc += ci * y[4 * (2 * i + 1):4 * (2 * i + 2)]
-        out[4 * (nblocks - 1):] = sign / kn * acc
-        return out
+        acc *= scale
 
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)

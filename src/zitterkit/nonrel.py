@@ -275,13 +275,9 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     inv_lam = 1.0 / zbw_coefficient(params)
     grad = pot.gradient
 
-    def deriv(t, y):
-        out = np.empty(12)
-        out[0:3] = y[3:6]
-        out[3:6] = y[6:9]
-        out[6:9] = y[9:12]
+    def deriv(t, y, out):
+        out[0:9] = y[3:12]
         out[9:12] = inv_lam * (-grad(y[0:3]) - m * y[6:9])
-        return out
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
     times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride)
@@ -302,11 +298,9 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     m = params.m
     grad = pot.gradient
 
-    def deriv(t, y):
-        out = np.empty(6)
+    def deriv(t, y, out):
         out[0:3] = y[3:6]
         out[3:6] = -grad(y[0:3]) / m
-        return out
 
     y0 = np.concatenate([x0, v0])
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)

@@ -1,12 +1,18 @@
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zitterkit.brackets import verify_appendix
 from zitterkit.cli import (
     SCENARIO_SCHEMA,
+    _run_free,
+    _write_table,
     apply_override,
     bracket_suite,
     dirac_suite,
@@ -121,6 +127,45 @@ def test_json_output_round_trips(tmp_path):
     assert rows[0, 13] == 0.51
     # re-serialize: identical because repr round-trips doubles
     assert json.loads(json.dumps(payload)) == payload
+    # the file is exactly the per-value float serialization of the table
+    _, (header, table) = _run_free(json.loads(path.read_text()))
+    reference = json.dumps({"columns": header,
+                            "rows": [[float(v) for v in row] for row in table]}) + "\n"
+    assert (tmp_path / "out.json").read_text() == reference
+
+
+SPECIAL_ROW = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 2.0, 0.1]
+
+
+def _format_table_reference(rows, prec):
+    return [",".join("{:.{p}g}".format(v, p=prec) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("prec", [1, 6, 17])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.lists(st.lists(st.floats(), min_size=len(SPECIAL_ROW),
+                              max_size=len(SPECIAL_ROW)), max_size=8))
+def test_csv_rows_match_per_value_format(tmp_path, monkeypatch, prec, body):
+    monkeypatch.delenv("ZITTERKIT_PRECISION", raising=False)
+    rows = np.array([SPECIAL_ROW] + body)
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path / "table.csv"
+    _write_table({"output": {"path": str(path), "precision": prec}}, header, rows)
+    lines = path.read_text().split("\n")
+    assert lines[0] == ",".join(header)
+    assert lines[1:] == _format_table_reference(rows, prec) + [""]
+
+
+@pytest.mark.parametrize("name", ["superluminal", "general_n2", "nonrel_gaussian_barrier"])
+def test_shipped_scenario_csv_matches_recorded_digest(tmp_path, name):
+    with open(os.path.join(SCENARIO_DIR, "..", "perfbench", "expected.json"),
+              encoding="utf-8") as fh:
+        expected = json.load(fh)[name]["sha256_seed0"]
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", scenario_path(f"{name}.json"),
+                 "--set", f"output.path={out}"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_precision_env_override(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from zitterkit.dynamics import (
     make_free_solution,
     mean_time_dilation,
     monitor,
+    rk4_path,
 )
 from zitterkit.lagrangian import ModelParams, ScalarPotential, characteristic_frequencies
 from zitterkit.minkowski import FourVector, dot
@@ -154,6 +155,81 @@ def test_integrate_hamilton_divergence_reports_last_time():
     with pytest.raises(IntegrationDiverged) as err:
         integrate_hamilton(sol.initial_phase_point(), PARAMS, None, 1000.0, 10.0)
     assert 0.0 < err.value.last_time < 1000.0
+    assert err.value.last_time == 800.0
+    assert str(err.value) == "state became non-finite at t=810"
+
+
+def _reference_rk4(deriv, y0, t0, dt, n_steps, stride):
+    """Allocating RK4 loop with the same arithmetic, sample by sample."""
+    y = np.array(y0, dtype=float)
+    comp = np.zeros_like(y)
+    times, samples = [t0], [y.copy()]
+
+    def f(t, state):
+        out = np.empty_like(state)
+        deriv(t, state, out)
+        return out
+
+    for i in range(1, n_steps + 1):
+        t = t0 + (i - 1) * dt
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        tmp = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4) - comp
+        ynew = y + tmp
+        comp = (ynew - y) - tmp
+        y = ynew
+        if i % stride == 0 or i == n_steps:
+            times.append(t0 + i * dt)
+            samples.append(y.copy())
+    return np.asarray(times), np.asarray(samples)
+
+
+def _anharmonic(t, y, out):
+    # x'' = -x - x^3 + t per component; written with y[..., a:b] so that it
+    # serves a stack of states as well as a single one
+    x = y[..., 0:2]
+    out[..., 0:2] = y[..., 2:4]
+    out[..., 2:4] = t - x - x * x * x
+
+
+@pytest.mark.parametrize("n_steps, stride", [
+    (12, 3),   # stride divides n_steps
+    (12, 5),   # it does not
+    (4, 10),   # stride > n_steps
+    (7, 7),    # stride == n_steps
+    (1, 1),
+    (1, 4),
+    (0, 2),    # no step: the initial state alone
+])
+def test_rk4_path_samples_on_the_stride_grid(n_steps, stride):
+    t0, dt = 0.25, 0.1
+    y0 = np.array([1.0, -0.5, 0.0, 0.3])
+    times, samples = rk4_path(_anharmonic, y0, t0, dt, n_steps, stride)
+    idx = list(range(0, n_steps + 1, stride))
+    if idx[-1] != n_steps:
+        idx.append(n_steps)
+    assert times.tolist() == [t0 + i * dt for i in idx]
+    assert samples.shape == (len(idx), 4)
+    ref_times, ref_samples = _reference_rk4(_anharmonic, y0, t0, dt, n_steps, stride)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(samples, ref_samples)
+
+
+def test_rk4_path_rejects_negative_step_count():
+    with pytest.raises(ValueError, match="n_steps"):
+        rk4_path(_anharmonic, np.zeros(4), 0.0, 0.1, -1, 1)
+
+
+def test_rk4_path_stacked_states_match_separate_runs():
+    y0 = np.array([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
+    times, samples = rk4_path(_anharmonic, y0, 0.0, 0.01, 250, 7)
+    assert samples.shape == (len(times), 2, 4)
+    for k in range(2):
+        times_k, samples_k = rk4_path(_anharmonic, y0[k], 0.0, 0.01, 250, 7)
+        assert np.array_equal(times, times_k)
+        assert np.array_equal(samples[:, k, :], samples_k)
 
 
 def test_forced_run_conserves_energy():

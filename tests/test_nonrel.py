@@ -140,6 +140,8 @@ def test_integrate_nr_divergence():
     with pytest.raises(IntegrationDiverged) as err:
         integrate_nr(s0, PARAMS, Potential3D.harmonic(1.0), 1000.0, 10.0)
     assert err.value.last_time < 1000.0
+    assert err.value.last_time == 950.0
+    assert str(err.value) == "state became non-finite at t=960"
 
 
 def test_work_integral_constant_force():
