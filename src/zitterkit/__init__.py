@@ -46,6 +46,7 @@ from .dynamics import (
 from .lagrangian import (
     ModelParams,
     PhasePoint,
+    Potential,
     ScalarPotential,
     canonical_momentum,
     characteristic_frequencies,

@@ -6,8 +6,8 @@ Subcommands:
     schema  print the scenario JSON schema
 
 Exit codes: 0 success, 1 verification tolerance breach, 2 validation failure,
-3 integration divergence.  The env var ZITTERKIT_PRECISION overrides the
-number of significant digits in CSV output.
+3 integration divergence.  The env var ZITTERKIT_PRECISION (1..17) overrides
+the number of significant digits in CSV output.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def _potential4_from(spec: dict | None) -> ScalarPotential | None:
     if spec is None or spec["type"] == "zero":
         return None
     if spec["type"] == "linear":
-        return ScalarPotential.linear(_fv(spec["b"]))
+        return ScalarPotential.linear(spec["b"])
     if spec["type"] == "harmonic":
         return ScalarPotential.harmonic_spatial(spec["k"])
     raise ValidationFailure(f"unknown potential type {spec['type']!r}")
@@ -247,12 +247,11 @@ def _potential4_from(spec: dict | None) -> ScalarPotential | None:
 
 def _precision(scn: dict) -> int:
     env = os.environ.get("ZITTERKIT_PRECISION")
-    if env is not None:
-        try:
-            return max(1, min(17, int(env)))
-        except ValueError as exc:
-            raise ValidationFailure(f"ZITTERKIT_PRECISION must be an integer, got {env!r}") from exc
-    return scn.get("output", {}).get("precision", 17)
+    if env is None:
+        return scn.get("output", {}).get("precision", 17)
+    if not env.strip().isdecimal() or not 1 <= int(env) <= 17:
+        raise ValidationFailure(f"ZITTERKIT_PRECISION must be an integer in 1..17, got {env!r}")
+    return int(env)
 
 
 def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:

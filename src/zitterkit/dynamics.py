@@ -287,7 +287,7 @@ def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPoten
     if potential is None:
         u = np.zeros(len(times))
     else:
-        u = np.array([potential.value(FourVector.from_array(x)) for x in blocks[:, 0, :]])
+        u = potential.value_many(blocks[:, 0, :])
     energy = ((pl * q).sum(1) - 0.5 * m * (q * METRIC * q).sum(1)
               + (pi * METRIC * pi).sum(1) / (2.0 * k1) + u)
     pv = (pl * q).sum(1)
@@ -322,17 +322,19 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                        tau_end: float, dt: float, stride: int = 1) -> Trajectory:
     """RK4 integration of the n=1 canonical equations.
 
-    The evolution is xdot = q, pdot = -dU/dx_mu, qdot = pi/k1 and
-    pidot = -(p - m q); for the physical coefficient pi/k1 equals
-    -(4 m c^4 / hbar^2) pi.  Samples are recorded every ``stride`` steps and
-    the final time lands within dt of ``tau_end``.
+    The evolution is xdot = q, pdot^mu = -g^{mu nu} dU/dx^nu (the potential
+    gives the lower-index partials), qdot = pi/k1 and pidot = -(p - m q); for
+    the physical coefficient pi/k1 equals -(4 m c^4 / hbar^2) pi.  Samples are
+    recorded every ``stride`` steps and the final time lands within dt of
+    ``tau_end``.
     """
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
     m = params.m
     k1 = params.k1
-    grad = None if potential is None else potential._gradient_components
+    grad = None if potential is None else potential.gradient
+    neg_metric = -METRIC
 
     def deriv(tau, y, out):
         q = y[8:12]
@@ -340,7 +342,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
         if grad is None:
             out[4:8] = 0.0
         else:
-            np.negative(grad(y[0:4]), out=out[4:8])
+            np.multiply(neg_metric, grad(y[0:4]), out=out[4:8])
         np.divide(y[12:16], k1, out=out[8:12])
         np.subtract(m * q, y[4:8], out=out[12:16])
 
@@ -432,10 +434,9 @@ def _d5(values: np.ndarray, h: float) -> np.ndarray:
     return (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
 
 
-def monitor(traj: Trajectory, params: ModelParams | None = None) -> MonitorReport:
+def monitor(traj: Trajectory) -> MonitorReport:
     """Conservation and identity report for an n=1 canonical trajectory."""
-    if params is None:
-        params = traj.params
+    params = traj.params
     traj._require("hamilton")
     n_total = len(traj)
     if n_total < 5:

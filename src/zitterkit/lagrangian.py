@@ -18,6 +18,7 @@ from .minkowski import METRIC, FourVector, dot
 __all__ = [
     "ModelParams",
     "PhasePoint",
+    "Potential",
     "ScalarPotential",
     "lagrangian_value",
     "canonical_momentum",
@@ -31,17 +32,68 @@ __all__ = [
 
 
 def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function at the point x.
+    """Central-difference gradient of a scalar function at each point of x.
 
-    Coordinate i moves by ``h_i = step * (1 + |x_i|)``.  ``f_rows`` is called
-    once, on the (2D, D) array of the points ``x + h_i e_i`` followed by
-    ``x - h_i e_i``, and must return one value per row.
+    ``x`` has shape (..., D); coordinate i of a point moves by
+    ``h_i = step * (1 + |x_i|)``.  ``f_rows`` is called once, on the
+    (..., 2D, D) array holding, for each point, the points ``x + h_i e_i``
+    followed by ``x - h_i e_i``, and must return one value per row.
     """
     x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     h = step * (1.0 + np.abs(x))
-    shifts = np.diag(h)
-    values = f_rows(np.concatenate([x + shifts, x - shifts]))
-    return (values[:x.size] - values[x.size:]) / (2.0 * h)
+    shifts = h[..., None] * np.eye(d)
+    x = x[..., None, :]
+    values = f_rows(np.concatenate([x + shifts, x - shifts], axis=-2))
+    return (values[..., :d] - values[..., d:]) / (2.0 * h)
+
+
+class Potential:
+    """Scalar potential U on points of shape (..., D).
+
+    ``fn`` returns values of shape (...) and ``grad``, if given, the plain
+    partials dU/dx^i of shape (..., D); otherwise one batched
+    :func:`central_gradient` call supplies them.  There is no per-point
+    fallback: a result of the wrong shape raises ValueError naming ``label``.
+    """
+
+    def __init__(self, fn: Callable, grad: Callable | None = None,
+                 label: str = "potential", step: float = 1e-6):
+        self._fn = fn
+        self._grad = grad
+        self.label = label
+        self.step = float(step)
+
+    def value(self, x) -> float:
+        return float(self._fn(np.asarray(x, dtype=float)))
+
+    def value_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        try:
+            out = np.asarray(self._fn(xs), dtype=float)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"potential {self.label!r} does not broadcast over "
+                             f"points of shape {xs.shape}: {exc}") from exc
+        if out.shape != xs.shape[:-1]:
+            raise ValueError(f"potential {self.label!r} returned shape {out.shape} "
+                             f"for points of shape {xs.shape}")
+        return out
+
+    def gradient(self, xs) -> np.ndarray:
+        """Plain partials dU/dx^i at one point (D,) or many (..., D)."""
+        xs = np.asarray(xs, dtype=float)
+        if self._grad is not None:
+            out = np.asarray(self._grad(xs), dtype=float)
+            if out.shape != xs.shape:
+                raise ValueError(f"gradient of potential {self.label!r} returned shape "
+                                 f"{out.shape} for points of shape {xs.shape}")
+            return out
+        return central_gradient(self.value_many, xs, self.step)
+
+    @classmethod
+    def zero(cls) -> "Potential":
+        return cls(lambda x: np.zeros(np.shape(x)[:-1]),
+                   grad=lambda x: np.zeros(np.shape(x)), label="zero")
 
 
 @dataclass(frozen=True)
@@ -129,56 +181,32 @@ class PhasePoint:
                                self.q.components, self.pi.components])
 
 
-class ScalarPotential:
-    """Scalar potential on spacetime together with its raised-index gradient.
-
-    ``gradient`` returns the contravariant 4-vector dU/dx_mu (metric-raised
-    from the plain coordinate gradient).  If no analytic gradient is supplied
-    the components are estimated by central differences with step
-    ``step * (1 + |x^mu|)``.
-    """
-
-    def __init__(self, fn: Callable[[FourVector], float], grad=None,
-                 label: str = "potential", step: float = 1e-6):
-        self._fn = fn
-        self._grad = grad
-        self.label = label
-        self.step = float(step)
-
-    def value(self, x: FourVector) -> float:
-        return float(self._fn(x))
-
-    def gradient(self, x: FourVector) -> FourVector:
-        return FourVector.from_array(self._gradient_components(x.components))
-
-    def _gradient_components(self, xc: np.ndarray) -> np.ndarray:
-        if self._grad is not None:
-            return self._grad(FourVector.from_array(xc)).components
-        # the user fn takes one FourVector, so the rows are evaluated one by one
-        g = central_gradient(
-            lambda rows: np.array([self._fn(FourVector.from_array(r)) for r in rows]),
-            xc, self.step)
-        return METRIC * g
+class ScalarPotential(Potential):
+    """Scalar potential on spacetime: points are contravariant components
+    (..., 4) and ``gradient`` returns the lower-index partials dU/dx^mu."""
 
     @classmethod
-    def zero(cls) -> "ScalarPotential":
-        return cls(lambda x: 0.0, grad=lambda x: FourVector.zero(), label="zero")
-
-    @classmethod
-    def linear(cls, b: FourVector) -> "ScalarPotential":
-        """U(x) = b_mu x^mu; the raised gradient is the constant vector b."""
-        return cls(lambda x: dot(b, x), grad=lambda x: b, label="linear")
+    def linear(cls, b) -> "ScalarPotential":
+        """U(x) = b_mu x^mu for contravariant components b; the partials are
+        the constant lowered vector METRIC * b."""
+        bl = METRIC * np.asarray(b, dtype=float)
+        if bl.shape != (4,):
+            raise ValueError(f"b must have 4 components, got shape {bl.shape}")
+        return cls(lambda x: (np.asarray(x) * bl).sum(-1),
+                   grad=lambda x: np.broadcast_to(bl, np.shape(x)).copy(),
+                   label="linear")
 
     @classmethod
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
         """U(x) = (strength/2) |x_spatial|^2 with analytic gradient."""
         s = float(strength)
 
-        def grad(x: FourVector) -> FourVector:
-            xc = x.components
-            return FourVector.from_array(METRIC * np.array([0.0, s * xc[1], s * xc[2], s * xc[3]]))
+        def grad(x):
+            g = s * np.asarray(x, dtype=float)
+            g[..., 0] = 0.0
+            return g
 
-        return cls(lambda x: 0.5 * s * float(np.dot(x.spatial, x.spatial)),
+        return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
                    grad=grad, label="harmonic")
 
 

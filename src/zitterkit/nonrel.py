@@ -9,12 +9,11 @@ classically forbidden barrier traversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import rk4_path, step_count
-from .lagrangian import ModelParams, central_gradient
+from .lagrangian import ModelParams, Potential
 
 __all__ = [
     "KinState3D",
@@ -66,62 +65,9 @@ class KinState3D:
             object.__setattr__(self, name, _vec3(getattr(self, name), name))
 
 
-class Potential3D:
-    """Scalar potential on 3-space with its gradient.
-
-    ``fn`` and, when given, ``grad`` must broadcast over a trailing axis of
-    size 3 so whole trajectories can be evaluated at once; ``value_many`` and
-    ``gradient_many`` raise ValueError when they do not.  Without an analytic
-    gradient, central differences with step ``step * (1 + |x_i|)`` are used.
-    """
-
-    def __init__(self, fn: Callable, grad: Callable | None = None,
-                 label: str = "potential", step: float = 1e-6):
-        self._fn = fn
-        self._grad = grad
-        self.label = label
-        self.step = float(step)
-
-    def value(self, x) -> float:
-        return float(self._fn(np.asarray(x, dtype=float)))
-
-    def value_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        try:
-            out = np.asarray(self._fn(xs), dtype=float)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"potential {self.label!r} does not broadcast over "
-                             f"points of shape {xs.shape}: {exc}") from exc
-        if out.shape != xs.shape[:-1]:
-            raise ValueError(f"potential {self.label!r} returned shape {out.shape} "
-                             f"for points of shape {xs.shape}")
-        return out
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        # fn need not broadcast here, so the rows are evaluated one by one
-        return central_gradient(lambda rows: np.array([self.value(r) for r in rows]),
-                                x, self.step)
-
-    def gradient_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self._grad is None:
-            return np.stack([self.gradient(x) for x in xs])
-        out = np.asarray(self._grad(xs), dtype=float)
-        if out.shape != xs.shape:
-            raise ValueError(f"gradient of potential {self.label!r} returned shape "
-                             f"{out.shape} for points of shape {xs.shape}")
-        return out
-
-    def force(self, x) -> np.ndarray:
-        return -self.gradient(x)
-
-    @classmethod
-    def zero(cls) -> "Potential3D":
-        return cls(lambda x: np.zeros(np.shape(x)[:-1]),
-                   grad=lambda x: np.zeros(np.shape(x)), label="zero")
+class Potential3D(Potential):
+    """Scalar potential on 3-space: points have a trailing axis of size 3 and
+    ``gradient`` returns dU/dx_i (see :class:`~zitterkit.lagrangian.Potential`)."""
 
     @classmethod
     def uniform_force(cls, force) -> "Potential3D":
@@ -305,7 +251,7 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     y0 = np.concatenate([x0, v0])
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)
     xs = samples[:, 0:3]
-    accs = -pot.gradient_many(xs) / m
+    accs = -pot.gradient(xs) / m
     jerks = np.zeros_like(xs)
     return _make_traj(params, pot, times, xs, samples[:, 3:6], accs, jerks,
                       newtonian=True)
@@ -319,7 +265,7 @@ def work_integral(traj: Trajectory3D, pot: Potential3D) -> float:
     """
     if len(traj) < 2:
         raise ValueError("work integral needs at least 2 samples")
-    force = -pot.gradient_many(traj.xs)
+    force = -pot.gradient(traj.xs)
     integrand = (force * traj.vs).sum(1)
     dt = np.diff(traj.times)
     return float(0.5 * ((integrand[1:] + integrand[:-1]) * dt).sum())

@@ -201,14 +201,19 @@ def test_general_n_scenario_runs(tmp_path, capsys):
     assert "characteristic frequencies" in capsys.readouterr().out
 
 
-def test_hamilton_scenario(tmp_path):
+@pytest.mark.parametrize("potential", [
+    {"type": "zero"},
+    {"type": "linear", "b": [0, 0.01, 0, 0]},
+    {"type": "harmonic", "k": 0.05},
+], ids=["zero", "linear", "harmonic"])
+def test_hamilton_scenario(tmp_path, potential):
     scn = {
         "kind": "hamilton",
         "model": {"mass": 1.0},
         "initial": {
             "x": [0, 0, 0, 0], "p": [1, 0, 0, 0],
             "q": [1, 0.1, 0, 0], "pi": [0, 0, -0.05, 0],
-            "potential": {"type": "zero"},
+            "potential": potential,
         },
         "integrator": {"dt": 0.001, "t_end": 0.1},
         "output": {"path": str(tmp_path / "h.csv")},
@@ -217,6 +222,18 @@ def test_hamilton_scenario(tmp_path):
     path.write_text(json.dumps(scn))
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "h.csv").exists()
+    header = (tmp_path / "h.csv").read_text().splitlines()[0].split(",")
+    energy = np.loadtxt(tmp_path / "h.csv", delimiter=",", skiprows=1)[:, header.index("H")]
+    assert np.abs(energy - energy[0]).max() <= 1e-8 * abs(energy[0])
+
+
+@pytest.mark.parametrize("precision", ["0", "18", "six"])
+def test_precision_env_out_of_range_exits_2(tmp_path, monkeypatch, capsys, precision):
+    monkeypatch.setenv("ZITTERKIT_PRECISION", precision)
+    path = short_free_scenario(tmp_path)
+    assert main(["run", str(path)]) == 2
+    assert "ZITTERKIT_PRECISION" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_divergent_scenario_exits_3(tmp_path, capsys):

@@ -243,6 +243,23 @@ def test_forced_run_conserves_energy():
     assert np.abs(traj.ps - traj.ps[0]).max() > 1e-6
 
 
+def test_forced_run_stays_array_first(monkeypatch):
+    # the potential is evaluated on raw arrays: no FourVector per RK4 stage or sample
+    s0 = standard_solution().initial_phase_point()
+    pot = ScalarPotential.harmonic_spatial(0.05)
+    calls = []
+    init = FourVector.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FourVector, "__init__", counting_init)
+    traj = integrate_hamilton(s0, PARAMS, pot, 10.0, 1e-3)
+    assert len(traj) == 10001
+    assert len(calls) <= 8
+
+
 def test_general_n1_matches_hamilton(standard_run):
     sol, hamilton_traj = standard_run
     _, v0, a0 = eval_free(sol, 0.0)

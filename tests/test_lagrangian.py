@@ -7,13 +7,15 @@ from zitterkit.lagrangian import (
     PhasePoint,
     ScalarPotential,
     canonical_momentum,
+    central_gradient,
     characteristic_frequencies,
     hamiltonian,
     lagrangian_value,
     newton_law_residual,
     pi_momentum,
 )
-from zitterkit.minkowski import FourVector, dot
+from zitterkit.brackets import hamiltonian_function
+from zitterkit.minkowski import METRIC, FourVector, dot
 
 
 def test_params_physical_default():
@@ -187,21 +189,36 @@ def test_momentum_consistency_on_free_solution():
 
 
 def test_scalar_potential_gradients():
-    b = FourVector(0.3, -1.2, 0.4, 2.0)
+    b = np.array([0.3, -1.2, 0.4, 2.0])
     lin = ScalarPotential.linear(b)
-    x = FourVector(0.5, 1.5, -2.0, 0.25)
-    assert lin.value(x) == pytest.approx(dot(b, x))
-    np.testing.assert_allclose(lin.gradient(x).components, b.components)
+    x = np.array([0.5, 1.5, -2.0, 0.25])
+    assert lin.value(x) == pytest.approx(dot(FourVector.from_array(b), FourVector.from_array(x)))
+    # lower-index partials dU/dx^mu of b_mu x^mu
+    assert np.array_equal(lin.gradient(x), METRIC * b)
 
     # finite-difference fallback agrees with the analytic gradient
-    fd = ScalarPotential(lambda y: dot(b, y))
-    np.testing.assert_allclose(fd.gradient(x).components, b.components,
-                               rtol=1e-9, atol=1e-9)
+    fd = ScalarPotential(lambda y: y @ (METRIC * b))
+    np.testing.assert_allclose(fd.gradient(x), METRIC * b, rtol=1e-9, atol=1e-9)
 
     harm = ScalarPotential.harmonic_spatial(2.0)
-    fd_harm = ScalarPotential(harm.value)
-    np.testing.assert_allclose(fd_harm.gradient(x).components,
-                               harm.gradient(x).components, rtol=1e-8, atol=1e-8)
+    fd_harm = ScalarPotential(harm.value_many)
+    np.testing.assert_allclose(fd_harm.gradient(x), harm.gradient(x), rtol=1e-8, atol=1e-8)
 
     assert ScalarPotential.zero().value(x) == 0.0
-    assert np.all(ScalarPotential.zero().gradient(x).components == 0.0)
+    assert np.all(ScalarPotential.zero().gradient(x) == 0.0)
+
+
+def _smooth4(r):
+    return np.sin(r[..., 0]) * np.exp(r[..., 1]) + (r**3).sum(-1) - r[..., 2] / (1 + r[..., 3]**2)
+
+
+@pytest.mark.parametrize("f_rows, d", [
+    (_smooth4, 4),
+    (hamiltonian_function(ModelParams(m=1.0)), 16),
+], ids=["smooth4", "hamiltonian16"])
+def test_central_gradient_of_a_stack_matches_each_point(f_rows, d):
+    xs = np.random.default_rng(5).uniform(-2, 2, size=(5, d))
+    stacked = central_gradient(f_rows, xs, 1e-5)
+    assert stacked.shape == xs.shape
+    for x, g in zip(xs, stacked):
+        assert np.array_equal(g, central_gradient(f_rows, x, 1e-5))

@@ -88,7 +88,7 @@ def test_builtin_gradients_match_central_differences():
     ]
     rng = np.random.default_rng(23)
     for pot in pots:
-        fd = Potential3D(pot.value)  # same values, finite-difference gradient
+        fd = Potential3D(pot.value_many)  # same values, finite-difference gradient
         for _ in range(10):
             x = rng.uniform(-2, 2, size=3)
             np.testing.assert_allclose(pot.gradient(x), fd.gradient(x),
@@ -103,7 +103,25 @@ def test_non_broadcasting_potential_raises():
         pot.value_many(xs)
     bad_grad = Potential3D(lambda x: 0.0, grad=lambda x: np.zeros(3), label="flat")
     with pytest.raises(ValueError, match="flat"):
-        bad_grad.gradient_many(xs)
+        bad_grad.gradient(xs)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda pot: integrate_nr(circle_state(), PARAMS, pot, 2.0, 1e-3),
+    lambda pot: integrate_newtonian([1, 0, 0], [0, 0.1, 0], PARAMS, pot, 2.0, 1e-3),
+], ids=["integrate_nr", "integrate_newtonian"])
+def test_non_broadcasting_potential_fails_on_first_gradient(integrate):
+    # without grad, the partials come from one batched call of fn; a fn for
+    # one point fails there instead of after the run
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return 0.5 * float(np.dot(x, x))
+
+    with pytest.raises(ValueError, match="pointwise"):
+        integrate(Potential3D(fn, label="pointwise"))
+    assert len(calls) <= 2
 
 
 def test_integrate_nr_free_circle_periodicity():
@@ -194,7 +212,7 @@ def test_momentum_law_along_trajectory():
     h = traj.times[1] - traj.times[0]
     p = PARAMS.m * traj.vs + zbw_coefficient(PARAMS) * traj.jerks
     dp = (p[:-4] - 8 * p[1:-3] + 8 * p[3:-1] - p[4:]) / (12 * h)
-    force = -pot.gradient_many(traj.xs[2:-2])
+    force = -pot.gradient(traj.xs[2:-2])
     assert np.abs(dp - force).max() <= 1e-6
 
 
