@@ -169,6 +169,8 @@ def _validate_scenario(scn: dict):
         raise ValidationFailure(f"scenario field {path}: {exc.message}") from exc
     if scn["kind"] not in ("verify",) and "integrator" not in scn:
         raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
+    if "output" in scn:
+        _precision(scn)  # an invalid ZITTERKIT_PRECISION fails before the run
 
 
 def load_scenario(path: str) -> dict:

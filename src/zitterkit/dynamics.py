@@ -8,6 +8,7 @@ asserts.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -60,9 +61,12 @@ def step_count(t_end: float, dt: float) -> int:
 def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     """Classical fixed-step RK4 over a state array of any shape.
 
-    ``deriv(t, y, out)`` writes the time derivative of the state ``y`` at
-    time ``t`` into ``out``, an array of the shape of ``y``, and must write
-    every element of it; ``y`` and ``out`` never overlap.  Returns
+    ``deriv(y, out)`` binds a state buffer ``y`` to a derivative buffer
+    ``out`` of the same shape and returns ``f``; ``f(t)`` writes the time
+    derivative of the current contents of ``y`` at time ``t`` into ``out``
+    and must write every element of it.  The driver binds its five buffer
+    pairs once, before the first step, so a binder can slice its views and
+    allocate its scratch there; ``y`` and ``out`` never overlap.  Returns
     ``(times, samples)`` where samples are recorded every ``stride`` steps
     plus the final step.  The state update uses compensated summation so
     that long runs stay truncation-limited rather than roundoff-limited.
@@ -76,6 +80,7 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     y = np.array(y0, dtype=float)
     comp = np.zeros_like(y)
+    zeros = np.zeros_like(y)
     k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     times = np.empty(n_samples)
@@ -84,25 +89,34 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     samples[0] = y
     j = 1
     half = 0.5 * dt
-    sixth = dt / 6.0
+    # the same constants as 0-d arrays, so no ufunc call converts a float
+    c_half, c_dt, c_sixth, c_two = (np.array(c) for c in (half, dt, dt / 6.0, 2.0))
+    f1, f1_next = deriv(y, k1), deriv(ynew, k1)
+    f2, f3, f4 = deriv(stage, k2), deriv(stage, k3), deriv(stage, k4)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
             t = t0 + (i - 1) * dt
-            deriv(t, y, k1)
-            deriv(t + half, np.add(y, np.multiply(half, k1, out=stage), out=stage), k2)
-            deriv(t + half, np.add(y, np.multiply(half, k2, out=stage), out=stage), k3)
-            deriv(t + dt, np.add(y, np.multiply(dt, k3, out=stage), out=stage), k4)
+            f1(t)
+            np.add(y, np.multiply(c_half, k1, out=stage), out=stage)
+            f2(t + half)
+            np.add(y, np.multiply(c_half, k2, out=stage), out=stage)
+            f3(t + half)
+            np.add(y, np.multiply(c_dt, k3, out=stage), out=stage)
+            f4(t + dt)
             np.add(k2, k3, out=inc)
-            np.multiply(2.0, inc, out=inc)
+            np.multiply(c_two, inc, out=inc)
             np.add(k1, inc, out=inc)
             np.add(inc, k4, out=inc)
-            np.multiply(sixth, inc, out=inc)
+            np.multiply(c_sixth, inc, out=inc)
             np.subtract(inc, comp, out=inc)
             np.add(y, inc, out=ynew)
             np.subtract(ynew, y, out=comp)
             np.subtract(comp, inc, out=comp)
             y, ynew = ynew, y
-            if not np.isfinite(y).all():
+            f1, f1_next = f1_next, f1
+            # y . 0 is NaN exactly when some element of y is not finite,
+            # and a product with zero cannot overflow
+            if not math.isfinite(np.vdot(y, zeros)):
                 raise IntegrationDiverged(
                     f"state became non-finite at t={t0 + i * dt:g}", last_time=t)
             if i % stride == 0 or i == n_steps:
@@ -331,20 +345,25 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
-    m = params.m
-    k1 = params.k1
+    m, k1 = np.array(params.m), np.array(params.k1)
     grad = None if potential is None else potential.gradient
     neg_metric = -METRIC
 
-    def deriv(tau, y, out):
-        q = y[8:12]
-        out[0:4] = q
-        if grad is None:
-            out[4:8] = 0.0
-        else:
-            np.multiply(neg_metric, grad(y[0:4]), out=out[4:8])
-        np.divide(y[12:16], k1, out=out[8:12])
-        np.subtract(m * q, y[4:8], out=out[12:16])
+    def deriv(y, out):
+        x, p, q, pi = (y[..., a:a + 4] for a in (0, 4, 8, 12))
+        xdot, pdot, qdot, pidot = (out[..., a:a + 4] for a in (0, 4, 8, 12))
+        mq = np.empty_like(q)
+
+        def f(tau):
+            xdot[...] = q
+            if grad is None:
+                pdot[...] = 0.0
+            else:
+                np.multiply(neg_metric, grad(x), out=pdot)
+            np.divide(pi, k1, out=qdot)
+            np.multiply(m, q, out=mq)
+            np.subtract(mq, p, out=pidot)
+        return f
 
     times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride)
     blocks = samples.reshape(len(times), 4, 4)
@@ -379,18 +398,26 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
         return Trajectory(params=params, kind="free_general", times=times,
                           blocks=blocks, momentum=p)
 
-    scale = (-1.0) ** (n + 1) / params.k[n]
+    c_scale = np.array((-1.0) ** (n + 1) / params.k[n])
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
     pc = p.components
     nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
 
-    def deriv(tau, y, out):
-        out[0:4 * (nblocks - 1)] = y[4:4 * nblocks]  # xdot = v, shift the stack
-        acc = out[4 * (nblocks - 1):]
-        np.negative(pc, out=acc)
-        for i, ci in enumerate(lower_coeffs):
-            acc += ci * y[4 * (2 * i + 1):4 * (2 * i + 2)]
-        acc *= scale
+    def deriv(y, out):
+        shifted, rates = y[..., 4:4 * nblocks], out[..., :4 * (nblocks - 1)]
+        acc = out[..., 4 * (nblocks - 1):]
+        terms = [(np.array(ci), y[..., 4 * (2 * i + 1):4 * (2 * i + 2)])
+                 for i, ci in enumerate(lower_coeffs)]
+        tmp = np.empty_like(acc)
+
+        def f(tau):
+            rates[...] = shifted  # xdot = v, shift the stack
+            np.negative(pc, out=acc)
+            for ci, v in terms:
+                np.multiply(ci, v, out=tmp)
+                np.add(acc, tmp, out=acc)
+            np.multiply(acc, c_scale, out=acc)
+        return f
 
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)

@@ -79,23 +79,24 @@ class Potential3D(Potential):
 
     @classmethod
     def harmonic(cls, strength: float) -> "Potential3D":
-        s = float(strength)
+        s = np.array(float(strength))
         return cls(lambda x: 0.5 * s * (np.asarray(x) ** 2).sum(-1),
-                   grad=lambda x: s * np.asarray(x, dtype=float),
+                   grad=lambda x: np.multiply(s, x),
                    label="harmonic")
 
     @classmethod
     def gaussian_barrier(cls, height: float, width: float) -> "Potential3D":
         u0 = float(height)
-        sig = float(width)
+        sig2 = float(width) ** 2
+        two_sig2 = 2.0 * sig2
 
         def fn(x):
             x = np.asarray(x, dtype=float)
-            return u0 * np.exp(-(x**2).sum(-1) / (2.0 * sig**2))
+            return u0 * np.exp(-(x**2).sum(-1) / two_sig2)
 
         def grad(x):
             x = np.asarray(x, dtype=float)
-            return -x / sig**2 * fn(x)[..., None]
+            return -x / sig2 * fn(x)[..., None]
 
         return cls(fn, grad=grad, label="gaussian")
 
@@ -217,13 +218,22 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     djdt = (4 m c^4 / hbar^2) (F(x) - m a) with F = -grad U.
     """
     n_steps = step_count(t_end, dt)
-    m = params.m
-    inv_lam = 1.0 / zbw_coefficient(params)
+    m = np.array(params.m)
+    inv_lam = np.array(1.0 / zbw_coefficient(params))
     grad = pot.gradient
 
-    def deriv(t, y, out):
-        out[0:9] = y[3:12]
-        out[9:12] = inv_lam * (-grad(y[0:3]) - m * y[6:9])
+    def deriv(y, out):
+        x, xva, a = y[..., 0:3], y[..., 3:12], y[..., 6:9]
+        rates, jdot = out[..., 0:9], out[..., 9:12]
+        tmp, ma = np.empty_like(a), np.empty_like(a)
+
+        def f(t):
+            rates[...] = xva
+            np.negative(grad(x), out=tmp)
+            np.multiply(m, a, out=ma)
+            np.subtract(tmp, ma, out=tmp)
+            np.multiply(inv_lam, tmp, out=jdot)
+        return f
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
     times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride)
@@ -241,12 +251,19 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
-    m = params.m
+    m = np.array(params.m)
     grad = pot.gradient
 
-    def deriv(t, y, out):
-        out[0:3] = y[3:6]
-        out[3:6] = -grad(y[0:3]) / m
+    def deriv(y, out):
+        x, v = y[..., 0:3], y[..., 3:6]
+        xdot, vdot = out[..., 0:3], out[..., 3:6]
+        tmp = np.empty_like(v)
+
+        def f(t):
+            xdot[...] = v
+            np.negative(grad(x), out=tmp)
+            np.divide(tmp, m, out=vdot)
+        return f
 
     y0 = np.concatenate([x0, v0])
     times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)

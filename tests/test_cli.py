@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zitterkit import dynamics
 from zitterkit.brackets import verify_appendix
 from zitterkit.cli import (
     SCENARIO_SCHEMA,
@@ -230,6 +231,18 @@ def test_hamilton_scenario(tmp_path, potential):
 @pytest.mark.parametrize("precision", ["0", "18", "six"])
 def test_precision_env_out_of_range_exits_2(tmp_path, monkeypatch, capsys, precision):
     monkeypatch.setenv("ZITTERKIT_PRECISION", precision)
+    path = short_free_scenario(tmp_path)
+    assert main(["run", str(path)]) == 2
+    assert "ZITTERKIT_PRECISION" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("integration started with an invalid precision")
+
+    monkeypatch.setattr(dynamics, "rk4_path", refuse)
+    monkeypatch.setenv("ZITTERKIT_PRECISION", "0")
     path = short_free_scenario(tmp_path)
     assert main(["run", str(path)]) == 2
     assert "ZITTERKIT_PRECISION" in capsys.readouterr().err

@@ -15,9 +15,21 @@ from zitterkit.dynamics import (
     monitor,
     rk4_path,
 )
-from zitterkit.lagrangian import ModelParams, ScalarPotential, characteristic_frequencies
-from zitterkit.minkowski import FourVector, dot
-from zitterkit.nonrel import KinState3D, Potential3D, integrate_newtonian, integrate_nr
+from zitterkit.lagrangian import (
+    ModelParams,
+    PhasePoint,
+    ScalarPotential,
+    canonical_momentum,
+    characteristic_frequencies,
+)
+from zitterkit.minkowski import METRIC, FourVector, dot
+from zitterkit.nonrel import (
+    KinState3D,
+    Potential3D,
+    integrate_newtonian,
+    integrate_nr,
+    zbw_coefficient,
+)
 
 PARAMS = ModelParams(m=1.0)
 P_CMF = FourVector(1, 0, 0, 0)
@@ -167,31 +179,38 @@ def _reference_rk4(deriv, y0, t0, dt, n_steps, stride):
 
     def f(t, state):
         out = np.empty_like(state)
-        deriv(t, state, out)
+        deriv(state, out)(t)
         return out
 
     for i in range(1, n_steps + 1):
         t = t0 + (i - 1) * dt
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        tmp = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4) - comp
-        ynew = y + tmp
-        comp = (ynew - y) - tmp
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = f(t + dt, y + dt * k3)
+            tmp = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4) - comp
+            ynew = y + tmp
+            comp = (ynew - y) - tmp
         y = ynew
+        if not np.isfinite(y).all():
+            raise IntegrationDiverged(
+                f"state became non-finite at t={t0 + i * dt:g}", last_time=t)
         if i % stride == 0 or i == n_steps:
             times.append(t0 + i * dt)
             samples.append(y.copy())
     return np.asarray(times), np.asarray(samples)
 
 
-def _anharmonic(t, y, out):
+def _anharmonic(y, out):
     # x'' = -x - x^3 + t per component; written with y[..., a:b] so that it
     # serves a stack of states as well as a single one
     x = y[..., 0:2]
-    out[..., 0:2] = y[..., 2:4]
-    out[..., 2:4] = t - x - x * x * x
+
+    def f(t):
+        out[..., 0:2] = y[..., 2:4]
+        out[..., 2:4] = t - x - x * x * x
+    return f
 
 
 @pytest.mark.parametrize("n_steps, stride", [
@@ -230,6 +249,185 @@ def test_rk4_path_stacked_states_match_separate_runs():
         times_k, samples_k = rk4_path(_anharmonic, y0[k], 0.0, 0.01, 250, 7)
         assert np.array_equal(times, times_k)
         assert np.array_equal(samples[:, k, :], samples_k)
+
+
+def _injecting(value, t_bad, where):
+    """Binder for y' = -y/10 that writes ``value`` into ``out[where]`` from
+    time ``t_bad`` on."""
+    def deriv(y, out):
+        def f(t):
+            np.multiply(-0.1, y, out=out)
+            if t >= t_bad:
+                out[where] = value
+        return f
+    return deriv
+
+
+def _divergence(deriv, y0):
+    with pytest.raises(IntegrationDiverged) as err:
+        rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
+    return err.value.last_time, str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_rk4_path_raises_on_the_step_a_component_turns_non_finite(value):
+    y0 = np.array([1.0, -0.5, 0.0, 0.3])
+    deriv = _injecting(value, 0.42, 1)  # first reached by step 5's middle stages
+    got = _divergence(deriv, y0)
+    with pytest.raises(IntegrationDiverged) as ref:
+        _reference_rk4(deriv, y0, 0.0, 0.1, 20, 3)
+    assert got == (ref.value.last_time, str(ref.value))
+    assert got == (0.4, "state became non-finite at t=0.5")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_rk4_path_raises_when_one_stacked_member_diverges(value):
+    y0 = np.array([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
+    got = _divergence(_injecting(value, 0.42, (1, 1)), y0)
+    assert got == _divergence(_injecting(value, 0.42, 1), y0[1])
+    with pytest.raises(IntegrationDiverged) as ref:
+        _reference_rk4(_injecting(value, 0.42, (1, 1)), y0, 0.0, 0.1, 20, 3)
+    assert got == (ref.value.last_time, str(ref.value))
+
+
+def test_rk4_path_finite_check_does_not_overflow():
+    # finite entries whose sum (or squared norm) overflows to inf
+    y0 = np.array([1e308, 1e308, -1e308, 1e308])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(y0.sum())
+        assert not np.isfinite(np.dot(y0, y0))
+    deriv = _injecting(0.0, np.inf, 0)  # y' = -y/10, never injects
+    times, samples = rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
+    ref_times, ref_samples = _reference_rk4(deriv, y0, 0.0, 0.1, 20, 3)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(samples, ref_samples)
+    assert np.isfinite(samples).all()
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7, 100])
+def test_rk4_path_binds_five_buffer_pairs_once(n_steps):
+    bound = []
+
+    def counting(y, out):
+        bound.append((y, out))
+        return _anharmonic(y, out)
+
+    rk4_path(counting, np.array([1.0, -0.5, 0.0, 0.3]), 0.0, 0.01, n_steps, 3)
+    assert len(bound) == 5
+
+
+def test_integrate_nr_calls_gradient_once_per_stage(monkeypatch):
+    calls = []
+    gradient = Potential3D.gradient
+
+    def counting(self, xs):
+        calls.append(1)
+        return gradient(self, xs)
+
+    monkeypatch.setattr(Potential3D, "gradient", counting)
+    s0 = KinState3D(t=0.0, x=[1.0, 0, 0], v=[0, 0.5, 0], a=[0, 0, 0], j=[0, 0, 0])
+    traj = integrate_nr(s0, PARAMS, Potential3D.harmonic(1.0), 0.137, 1e-3)
+    assert len(traj) == 138
+    assert len(calls) == 4 * 137
+
+
+def _textbook(deriv):
+    """Binder for a closure ``deriv(t, y, out)`` that slices on every call,
+    as the integrators' closures were written before they bound views."""
+    def bind(y, out):
+        return lambda t: deriv(t, y, out)
+    return bind
+
+
+def _assert_bit_identical(got, ref):
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+NR_POTENTIALS = {
+    "zero": Potential3D.zero(),
+    "harmonic": Potential3D.harmonic(1.0),
+    "gaussian": Potential3D.gaussian_barrier(0.5, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
+def test_integrate_nr_matches_the_textbook_closure(name):
+    pot = NR_POTENTIALS[name]
+    # the z axis is at rest at -0.0, where -(g + m a) would flip signed zeros
+    s0 = KinState3D(t=0.25, x=[0.4, -0.0, -0.0], v=[-0.0, 0.5, -0.0],
+                    a=[0.1, -0.0, -0.0], j=[-0.0, 0.0, -0.0])
+    m = PARAMS.m
+    inv_lam = 1.0 / zbw_coefficient(PARAMS)
+
+    def deriv(t, y, out):
+        out[0:9] = y[3:12]
+        out[9:12] = inv_lam * (-pot.gradient(y[0:3]) - m * y[6:9])
+
+    traj = integrate_nr(s0, PARAMS, pot, 0.05, 1e-3, stride=3)
+    y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
+    times, samples = _reference_rk4(_textbook(deriv), y0, 0.25, 1e-3, 50, 3)
+    assert np.array_equal(traj.times, times)
+    _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
+
+
+HAMILTON_POTENTIALS = {
+    "none": None,
+    "linear": ScalarPotential.linear([0.0, 0.01, 0.0, 0.0]),
+    "harmonic": ScalarPotential.harmonic_spatial(0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
+def test_integrate_hamilton_matches_the_textbook_closure(name):
+    potential = HAMILTON_POTENTIALS[name]
+    y0 = standard_solution().initial_phase_point().as_array()
+    y0[y0 == 0.0] = -0.0
+    s0 = PhasePoint.from_array(y0, tau=0.5)
+    assert np.array_equal(np.signbit(s0.as_array()), np.signbit(y0))
+    m, k1 = PARAMS.m, PARAMS.k1
+    neg_metric = -METRIC
+
+    def deriv(tau, y, out):
+        q = y[8:12]
+        out[0:4] = q
+        if potential is None:
+            out[4:8] = 0.0
+        else:
+            np.multiply(neg_metric, potential.gradient(y[0:4]), out=out[4:8])
+        np.divide(y[12:16], k1, out=out[8:12])
+        np.subtract(m * q, y[4:8], out=out[12:16])
+
+    traj = integrate_hamilton(s0, PARAMS, potential, 0.05, 1e-3, stride=4)
+    times, samples = _reference_rk4(_textbook(deriv), y0, 0.5, 1e-3, 50, 4)
+    assert np.array_equal(traj.times, times)
+    _assert_bit_identical(traj.blocks.reshape(len(times), 16), samples)
+
+
+def test_integrate_free_general_n_matches_the_textbook_closure():
+    params = ModelParams(m=1.0, n=2, k=(1.0, -1.25, 0.25))
+    # the third axis is at rest at -0.0 in every block
+    stack = [FourVector(1.0, 0.2, 0.15, -0.0), FourVector(-0.0, 0.0, -0.0, -0.0),
+             FourVector(0.0, -0.2, -0.6, -0.0), FourVector(-0.0, -0.0, 0.0, -0.0),
+             FourVector(0.0, 0.2, 2.4, -0.0)]
+    x0 = FourVector(-0.0, 0.0, -0.0, -0.0)
+    pc = canonical_momentum(params, stack).components
+    lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(2)]
+    scale = (-1.0) ** 3 / params.k[2]
+
+    def deriv(tau, y, out):
+        out[0:16] = y[4:20]
+        acc = out[16:]
+        np.negative(pc, out=acc)
+        for i, ci in enumerate(lower_coeffs):
+            acc += ci * y[4 * (2 * i + 1):4 * (2 * i + 2)]
+        acc *= scale
+
+    traj = integrate_free_general_n(params, x0, stack, 0.1, 2e-3, stride=7)
+    y0 = np.concatenate([x0.components] + [v.components for v in stack[:4]])
+    times, samples = _reference_rk4(_textbook(deriv), y0, 0.0, 2e-3, 50, 7)
+    assert np.array_equal(traj.times, times)
+    _assert_bit_identical(traj.blocks.reshape(len(times), 20), samples)
 
 
 def test_forced_run_conserves_energy():
