@@ -56,6 +56,10 @@ _POTENTIAL4_SCHEMA = {
     },
 }
 
+# the parameters each potential type needs, in 3-D and 4-D alike
+_POTENTIAL_PARAMETERS = {"uniform": ("force",), "harmonic": ("k",), "linear": ("b",),
+                         "gaussian": ("height", "width"), "step": ("height", "width")}
+
 SCENARIO_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "zitterkit scenario",
@@ -169,6 +173,11 @@ def _validate_scenario(scn: dict):
         raise ValidationFailure(f"scenario field {path}: {exc.message}") from exc
     if scn["kind"] not in ("verify",) and "integrator" not in scn:
         raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
+    potential = scn.get("initial", {}).get("potential", {})
+    for name in _POTENTIAL_PARAMETERS.get(potential.get("type"), ()):
+        if name not in potential:
+            raise ValidationFailure(f"scenario field initial/potential: a {potential['type']!r} "
+                                    f"potential requires {name!r}")
     if "output" in scn:
         _precision(scn)  # an invalid ZITTERKIT_PRECISION fails before the run
 

@@ -39,11 +39,20 @@ __all__ = [
 
 
 class IntegrationDiverged(RuntimeError):
-    """Raised when the integrator encounters a non-finite state."""
+    """Raised when the integrator encounters a non-finite state.
 
-    def __init__(self, message: str, last_time: float):
+    ``last_time`` is the time of ``last_state``, a copy of the last finite
+    state.  ``nonfinite`` lists the index of every non-finite entry of the
+    state that followed it; for a stacked state the leading indices name
+    the member.
+    """
+
+    def __init__(self, message: str, last_time: float, nonfinite: tuple = (),
+                 last_state: np.ndarray | None = None):
         super().__init__(message)
         self.last_time = last_time
+        self.nonfinite = nonfinite
+        self.last_state = last_state
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -118,7 +127,9 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
             # and a product with zero cannot overflow
             if not math.isfinite(np.vdot(y, zeros)):
                 raise IntegrationDiverged(
-                    f"state became non-finite at t={t0 + i * dt:g}", last_time=t)
+                    f"state became non-finite at t={t0 + i * dt:g}", last_time=t,
+                    nonfinite=tuple(map(tuple, np.argwhere(~np.isfinite(y)).tolist())),
+                    last_state=ynew.copy())
             if i % stride == 0 or i == n_steps:
                 times[j] = t0 + i * dt
                 samples[j] = y
@@ -346,20 +357,21 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
     m, k1 = np.array(params.m), np.array(params.k1)
-    grad = None if potential is None else potential.gradient
     neg_metric = -METRIC
 
     def deriv(y, out):
         x, p, q, pi = (y[..., a:a + 4] for a in (0, 4, 8, 12))
         xdot, pdot, qdot, pidot = (out[..., a:a + 4] for a in (0, 4, 8, 12))
         mq = np.empty_like(q)
+        grad = None if potential is None else potential.bind(x, pdot)
 
         def f(tau):
             xdot[...] = q
             if grad is None:
                 pdot[...] = 0.0
             else:
-                np.multiply(neg_metric, grad(x), out=pdot)
+                grad()
+                np.multiply(neg_metric, pdot, out=pdot)
             np.divide(pi, k1, out=qdot)
             np.multiply(m, q, out=mq)
             np.subtract(mq, p, out=pidot)

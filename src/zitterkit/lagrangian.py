@@ -48,21 +48,67 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
     return (values[..., :d] - values[..., d:]) / (2.0 * h)
 
 
+def _constant_binder(partials):
+    """Binder whose gradient is the same ``partials`` at every point."""
+    def bind(x, out):
+        def g():
+            out[...] = partials
+        return g
+    return bind
+
+
 class Potential:
     """Scalar potential U on points of shape (..., D).
 
-    ``fn`` returns values of shape (...) and ``grad``, if given, the plain
-    partials dU/dx^i of shape (..., D); otherwise one batched
-    :func:`central_gradient` call supplies them.  There is no per-point
-    fallback: a result of the wrong shape raises ValueError naming ``label``.
+    ``fn`` returns values of shape (...).  The plain partials dU/dx^i come
+    from ``binder``, from ``grad`` or, given neither, from one batched
+    :func:`central_gradient` call per evaluation (see :meth:`bind`).  There
+    is no per-point fallback: a result of the wrong shape raises ValueError
+    naming ``label``.
     """
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
-                 label: str = "potential", step: float = 1e-6):
+                 label: str = "potential", step: float = 1e-6,
+                 binder: Callable | None = None):
+        if grad is not None and binder is not None:
+            raise ValueError(f"potential {label!r}: give grad or binder, not both")
         self._fn = fn
         self._grad = grad
         self.label = label
         self.step = float(step)
+        if binder is None:
+            binder = self._grad_binder if grad is not None else self._central_binder
+        self._binder = binder
+
+    def bind(self, x, out):
+        """Bind points ``x`` (..., D) to a buffer ``out`` of the same shape
+        and return ``g``; ``g()`` writes the partials at the current
+        contents of ``x`` into every element of ``out``.
+
+        The shapes are checked here, once.  A built-in binder slices its
+        views and allocates its scratch here too, and ``g`` runs the same
+        ufuncs in the same order as the textbook expression, with ``out=``,
+        so its results are bit-identical to it.  A user ``grad`` is wrapped
+        in a ``g`` that checks the shape of every result it returns.
+        """
+        if np.shape(out) != np.shape(x):
+            raise ValueError(f"potential {self.label!r} cannot bind a gradient buffer of "
+                             f"shape {np.shape(out)} to points of shape {np.shape(x)}")
+        return self._binder(x, out)
+
+    def _grad_binder(self, x, out):
+        def g():
+            result = np.asarray(self._grad(x), dtype=float)
+            if result.shape != x.shape:
+                raise ValueError(f"gradient of potential {self.label!r} returned shape "
+                                 f"{result.shape} for points of shape {x.shape}")
+            out[...] = result
+        return g
+
+    def _central_binder(self, x, out):
+        def g():
+            out[...] = central_gradient(self.value_many, x, self.step)
+        return g
 
     def value(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -82,18 +128,14 @@ class Potential:
     def gradient(self, xs) -> np.ndarray:
         """Plain partials dU/dx^i at one point (D,) or many (..., D)."""
         xs = np.asarray(xs, dtype=float)
-        if self._grad is not None:
-            out = np.asarray(self._grad(xs), dtype=float)
-            if out.shape != xs.shape:
-                raise ValueError(f"gradient of potential {self.label!r} returned shape "
-                                 f"{out.shape} for points of shape {xs.shape}")
-            return out
-        return central_gradient(self.value_many, xs, self.step)
+        out = np.empty(xs.shape)
+        self.bind(xs, out)()
+        return out
 
     @classmethod
     def zero(cls) -> "Potential":
         return cls(lambda x: np.zeros(np.shape(x)[:-1]),
-                   grad=lambda x: np.zeros(np.shape(x)), label="zero")
+                   binder=_constant_binder(0.0), label="zero")
 
 
 @dataclass(frozen=True)
@@ -193,21 +235,23 @@ class ScalarPotential(Potential):
         if bl.shape != (4,):
             raise ValueError(f"b must have 4 components, got shape {bl.shape}")
         return cls(lambda x: (np.asarray(x) * bl).sum(-1),
-                   grad=lambda x: np.broadcast_to(bl, np.shape(x)).copy(),
-                   label="linear")
+                   binder=_constant_binder(bl), label="linear")
 
     @classmethod
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
         """U(x) = (strength/2) |x_spatial|^2 with analytic gradient."""
         s = float(strength)
 
-        def grad(x):
-            g = s * np.asarray(x, dtype=float)
-            g[..., 0] = 0.0
+        def bind(x, out):
+            time_part = out[..., 0]
+
+            def g():
+                np.multiply(s, x, out=out)
+                time_part[...] = 0.0
             return g
 
         return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
-                   grad=grad, label="harmonic")
+                   binder=bind, label="harmonic")
 
 
 def _check_stack(stack: Sequence[FourVector], needed: int, what: str):

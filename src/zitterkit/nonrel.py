@@ -9,11 +9,12 @@ classically forbidden barrier traversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import rk4_path, step_count
-from .lagrangian import ModelParams, Potential
+from .lagrangian import ModelParams, Potential, _constant_binder
 
 __all__ = [
     "KinState3D",
@@ -74,14 +75,13 @@ class Potential3D(Potential):
         """Linear potential U = -F.x giving the constant force F."""
         f = _vec3(force, "force")
         return cls(lambda x: -(np.asarray(x) * f).sum(-1),
-                   grad=lambda x: np.broadcast_to(-f, np.shape(x)).copy(),
-                   label="uniform")
+                   binder=_constant_binder(-f), label="uniform")
 
     @classmethod
     def harmonic(cls, strength: float) -> "Potential3D":
         s = np.array(float(strength))
         return cls(lambda x: 0.5 * s * (np.asarray(x) ** 2).sum(-1),
-                   grad=lambda x: np.multiply(s, x),
+                   binder=lambda x, out: partial(np.multiply, s, x, out),
                    label="harmonic")
 
     @classmethod
@@ -90,15 +90,26 @@ class Potential3D(Potential):
         sig2 = float(width) ** 2
         two_sig2 = 2.0 * sig2
 
+        def envelope(r2):
+            return u0 * np.exp(-r2 / two_sig2)
+
         def fn(x):
-            x = np.asarray(x, dtype=float)
-            return u0 * np.exp(-(x**2).sum(-1) / two_sig2)
+            return envelope((np.asarray(x, dtype=float) ** 2).sum(-1))
 
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            return -x / sig2 * fn(x)[..., None]
+        def bind(x, out):
+            t, c_sig2 = np.empty_like(x), np.array(sig2)
 
-        return cls(fn, grad=grad, label="gaussian")
+            # -x / sig2 * fn(x)[..., None], with the squares summed by
+            # .sum(-1) as in fn; for a single point the envelope stays numpy
+            # scalar arithmetic, which costs less than 0-d ufuncs with out=
+            def g():
+                e = envelope(np.square(x, out=t).sum(-1))
+                np.negative(x, out=t)
+                np.divide(t, c_sig2, out=t)
+                np.multiply(t, e[..., None], out=out)
+            return g
+
+        return cls(fn, binder=bind, label="gaussian")
 
     @classmethod
     def smoothed_step(cls, height: float, width: float) -> "Potential3D":
@@ -112,14 +123,16 @@ class Potential3D(Potential):
         def fn(x):
             return u0 * _sigmoid(np.asarray(x, dtype=float)[..., 0])
 
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            s = _sigmoid(x[..., 0])
-            g = np.zeros(x.shape)
-            g[..., 0] = u0 * s * (1.0 - s) / sig
+        def bind(x, out):
+            x0, along, across = x[..., 0], out[..., 0], out[..., 1:]
+
+            def g():
+                s = _sigmoid(x0)
+                across[...] = 0.0
+                along[...] = u0 * s * (1.0 - s) / sig
             return g
 
-        return cls(fn, grad=grad, label="step")
+        return cls(fn, binder=bind, label="step")
 
 
 @dataclass(frozen=True)
@@ -220,16 +233,17 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     m = np.array(params.m)
     inv_lam = np.array(1.0 / zbw_coefficient(params))
-    grad = pot.gradient
 
     def deriv(y, out):
         x, xva, a = y[..., 0:3], y[..., 3:12], y[..., 6:9]
         rates, jdot = out[..., 0:9], out[..., 9:12]
         tmp, ma = np.empty_like(a), np.empty_like(a)
+        grad = pot.bind(x, tmp)
 
         def f(t):
             rates[...] = xva
-            np.negative(grad(x), out=tmp)
+            grad()
+            np.negative(tmp, out=tmp)
             np.multiply(m, a, out=ma)
             np.subtract(tmp, ma, out=tmp)
             np.multiply(inv_lam, tmp, out=jdot)
@@ -252,16 +266,17 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
     m = np.array(params.m)
-    grad = pot.gradient
 
     def deriv(y, out):
         x, v = y[..., 0:3], y[..., 3:6]
         xdot, vdot = out[..., 0:3], out[..., 3:6]
         tmp = np.empty_like(v)
+        grad = pot.bind(x, tmp)
 
         def f(t):
             xdot[...] = v
-            np.negative(grad(x), out=tmp)
+            grad()
+            np.negative(tmp, out=tmp)
             np.divide(tmp, m, out=vdot)
         return f
 

@@ -228,6 +228,39 @@ def test_hamilton_scenario(tmp_path, potential):
     assert np.abs(energy - energy[0]).max() <= 1e-8 * abs(energy[0])
 
 
+POTENTIAL_PARAMETERS = {
+    "nonrel": {"uniform": {"force": [0.1, 0, 0]}, "harmonic": {"k": 1.0},
+               "gaussian": {"height": 0.5, "width": 0.3},
+               "step": {"height": 0.5, "width": 0.3}},
+    "hamilton": {"linear": {"b": [0, 0.01, 0, 0]}, "harmonic": {"k": 0.05}},
+}
+MISSING_PARAMETERS = [(kind, ptype, field) for kind, types in POTENTIAL_PARAMETERS.items()
+                      for ptype, fields in types.items() for field in fields]
+
+
+@pytest.mark.parametrize("kind, ptype, field", MISSING_PARAMETERS,
+                         ids=["-".join(case) for case in MISSING_PARAMETERS])
+def test_potential_without_a_parameter_exits_2(tmp_path, capsys, kind, ptype, field):
+    spec = {"type": ptype, **POTENTIAL_PARAMETERS[kind][ptype]}
+    del spec[field]
+    if kind == "nonrel":
+        initial = {"x": [1, 0, 0], "v": [0, 0.1, 0]}
+    else:
+        initial = {"x": [0, 0, 0, 0], "p": [1, 0, 0, 0], "q": [1, 0.1, 0, 0],
+                   "pi": [0, 0, -0.05, 0]}
+    scn = {"kind": kind, "model": {"mass": 1.0},
+           "initial": {**initial, "potential": spec},
+           "integrator": {"dt": 0.001, "t_end": 0.01},
+           "output": {"path": str(tmp_path / "out.csv")}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"initial/potential: a '{ptype}' potential requires '{field}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("precision", ["0", "18", "six"])
 def test_precision_env_out_of_range_exits_2(tmp_path, monkeypatch, capsys, precision):
     monkeypatch.setenv("ZITTERKIT_PRECISION", precision)

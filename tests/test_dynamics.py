@@ -290,6 +290,18 @@ def test_rk4_path_raises_when_one_stacked_member_diverges(value):
     assert got == (ref.value.last_time, str(ref.value))
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_divergence_names_the_member_and_keeps_the_last_finite_state(value):
+    y0 = np.array([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
+    deriv = _injecting(value, 0.42, (1, 1))
+    with pytest.raises(IntegrationDiverged) as err:
+        rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
+    assert err.value.nonfinite == ((1, 1),)
+    assert err.value.last_time == 0.4
+    _, ref = _reference_rk4(deriv, y0, 0.0, 0.1, 4, 1)
+    assert np.array_equal(err.value.last_state, ref[-1])
+
+
 def test_rk4_path_finite_check_does_not_overflow():
     # finite entries whose sum (or squared norm) overflows to inf
     y0 = np.array([1e308, 1e308, -1e308, 1e308])
@@ -316,19 +328,25 @@ def test_rk4_path_binds_five_buffer_pairs_once(n_steps):
     assert len(bound) == 5
 
 
-def test_integrate_nr_calls_gradient_once_per_stage(monkeypatch):
-    calls = []
-    gradient = Potential3D.gradient
+def test_integrate_nr_binds_the_gradient_once_per_buffer_pair(monkeypatch):
+    binds, gradients = [], []
+    bind, gradient = Potential3D.bind, Potential3D.gradient
 
-    def counting(self, xs):
-        calls.append(1)
+    def counting_bind(self, x, out):
+        binds.append(1)
+        return bind(self, x, out)
+
+    def counting_gradient(self, xs):
+        gradients.append(1)
         return gradient(self, xs)
 
-    monkeypatch.setattr(Potential3D, "gradient", counting)
+    monkeypatch.setattr(Potential3D, "bind", counting_bind)
+    monkeypatch.setattr(Potential3D, "gradient", counting_gradient)
     s0 = KinState3D(t=0.0, x=[1.0, 0, 0], v=[0, 0.5, 0], a=[0, 0, 0], j=[0, 0, 0])
     traj = integrate_nr(s0, PARAMS, Potential3D.harmonic(1.0), 0.137, 1e-3)
     assert len(traj) == 138
-    assert len(calls) == 4 * 137
+    assert len(binds) == 5
+    assert len(gradients) == 0
 
 
 def _textbook(deriv):

@@ -16,6 +16,7 @@ from zitterkit.lagrangian import (
 )
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.minkowski import METRIC, FourVector, dot
+from zitterkit.nonrel import Potential3D
 
 
 def test_params_physical_default():
@@ -222,3 +223,77 @@ def test_central_gradient_of_a_stack_matches_each_point(f_rows, d):
     assert stacked.shape == xs.shape
     for x, g in zip(xs, stacked):
         assert np.array_equal(g, central_gradient(f_rows, x, 1e-5))
+
+
+def _gaussian_textbook(u0, width):
+    sig2 = width**2
+
+    def fn(x):
+        return u0 * np.exp(-(x**2).sum(-1) / (2.0 * sig2))
+    return lambda x: -x / sig2 * fn(x)[..., None]
+
+
+def _step_textbook(u0, sig):
+    def grad(x):
+        s = 1.0 / (1.0 + np.exp(-x[..., 0] / sig))
+        g = np.zeros(x.shape)
+        g[..., 0] = u0 * s * (1.0 - s) / sig
+        return g
+    return grad
+
+
+def _harmonic_spatial_textbook(s):
+    def grad(x):
+        g = s * x
+        g[..., 0] = 0.0
+        return g
+    return grad
+
+
+# each built-in against the gradient expression it had before it was a binder
+BUILTIN_GRADIENTS = {
+    "zero": (Potential3D.zero(), lambda x: np.zeros(np.shape(x)), 3),
+    "uniform": (Potential3D.uniform_force([0.3, -0.0, 0.2]),
+                lambda x: np.broadcast_to(-np.array([0.3, -0.0, 0.2]), x.shape).copy(), 3),
+    "harmonic": (Potential3D.harmonic(1.7), lambda x: np.multiply(np.array(1.7), x), 3),
+    "gaussian": (Potential3D.gaussian_barrier(0.4, 1.3), _gaussian_textbook(0.4, 1.3), 3),
+    "step": (Potential3D.smoothed_step(0.8, 0.5), _step_textbook(0.8, 0.5), 3),
+    "linear": (ScalarPotential.linear([0.3, -1.2, 0.0, 2.0]),
+               lambda x: np.broadcast_to(METRIC * np.array([0.3, -1.2, 0.0, 2.0]),
+                                         x.shape).copy(), 4),
+    "harmonic_spatial": (ScalarPotential.harmonic_spatial(2.0),
+                         _harmonic_spatial_textbook(2.0), 4),
+}
+
+
+def _assert_bit_identical(got, ref):
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GRADIENTS))
+def test_builtin_binders_match_the_textbook_gradient(name):
+    pot, textbook, d = BUILTIN_GRADIENTS[name]
+    stack = np.random.default_rng(11).uniform(-2, 2, size=(5, d))
+    stack[1] = -0.0
+    stack[2, ::2] = -0.0
+    stack[3, 1:] = 0.0
+    _assert_bit_identical(pot.gradient(stack), textbook(stack))
+    # one bound point, refilled in place the way an RK4 stage buffer is;
+    # the NaN fill shows that every element of out is written on every call
+    x, out = np.empty(d), np.empty(d)
+    g = pot.bind(x, out)
+    for row in stack:
+        x[...] = row
+        out.fill(np.nan)
+        g()
+        _assert_bit_identical(out, textbook(row.copy()))
+        _assert_bit_identical(pot.gradient(row), out)
+
+
+def test_bind_rejects_a_buffer_of_the_wrong_shape():
+    pot = Potential3D.harmonic(1.0)
+    with pytest.raises(ValueError, match="'harmonic'"):
+        pot.bind(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="'harmonic'"):
+        pot.bind(np.zeros((2, 3)), np.zeros(3))

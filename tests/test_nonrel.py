@@ -124,6 +124,19 @@ def test_non_broadcasting_potential_fails_on_first_gradient(integrate):
     assert len(calls) <= 2
 
 
+def test_bad_user_gradient_fails_on_the_first_stage():
+    calls = []
+
+    def grad(x):
+        calls.append(x.shape)
+        return np.zeros(2)
+
+    pot = Potential3D(lambda x: np.zeros(np.shape(x)[:-1]), grad=grad, label="short")
+    with pytest.raises(ValueError, match="'short'.*shape \\(2,\\)"):
+        integrate_nr(circle_state(), PARAMS, pot, 2.0, 1e-3)
+    assert calls == [(3,)]
+
+
 def test_integrate_nr_free_circle_periodicity():
     s0 = circle_state()
     traj = integrate_nr(s0, PARAMS, Potential3D.zero(), math.pi, 1e-4)
