@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -161,16 +162,25 @@ class ValidationFailure(ValueError):
     pass
 
 
-def _validate_scenario(scn: dict):
-    import jsonschema
+@functools.cache
+def _validator(kind: str | None = None):
+    """Validator of SCENARIO_SCHEMA, or of the initial section of ``kind``,
+    built once in the dialect that ``jsonschema.validate`` picks."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(scn, SCENARIO_SCHEMA)
-        kind = scn["kind"]
-        jsonschema.validate(scn.get("initial", {}), _INITIAL_SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ValidationFailure(f"scenario field {path}: {exc.message}") from exc
+    schema = SCENARIO_SCHEMA if kind is None else _INITIAL_SCHEMAS[kind]
+    return validator_for(schema)(schema)
+
+
+def _validate_scenario(scn: dict):
+    from jsonschema.exceptions import best_match  # the error jsonschema.validate raises
+
+    error = best_match(_validator().iter_errors(scn))
+    if error is None:
+        error = best_match(_validator(scn["kind"]).iter_errors(scn.get("initial", {})))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ValidationFailure(f"scenario field {path}: {error.message}") from error
     if scn["kind"] not in ("verify",) and "integrator" not in scn:
         raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
     potential = scn.get("initial", {}).get("potential", {})
@@ -620,7 +630,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationDiverged as exc:
-        print(f"error: integration diverged: {exc} (last good time {exc.last_time:g})",
+        bad = exc.nonfinite
+        where = f"; non-finite entries: {len(bad)}, first at index {bad[0]}" if bad else ""
+        print(f"error: integration diverged: {exc} (last good time {exc.last_time:g}{where})",
               file=sys.stderr)
         return 3
 

@@ -87,10 +87,11 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float, order="C")
     comp = np.zeros_like(y)
-    zeros = np.zeros_like(y)
     k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
+    # flat views that follow y and ynew through the swaps, for the check
+    yflat, ynewflat, zeros = y.reshape(-1), ynew.reshape(-1), np.zeros(y.size)
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     times = np.empty(n_samples)
     samples = np.empty((n_samples,) + y.shape)
@@ -102,30 +103,32 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     c_half, c_dt, c_sixth, c_two = (np.array(c) for c in (half, dt, dt / 6.0, 2.0))
     f1, f1_next = deriv(y, k1), deriv(ynew, k1)
     f2, f3, f4 = deriv(stage, k2), deriv(stage, k3), deriv(stage, k4)
+    add, mul, sub, isfinite = np.add, np.multiply, np.subtract, math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
             t = t0 + (i - 1) * dt
             f1(t)
-            np.add(y, np.multiply(c_half, k1, out=stage), out=stage)
+            add(y, mul(c_half, k1, stage), stage)
             f2(t + half)
-            np.add(y, np.multiply(c_half, k2, out=stage), out=stage)
+            add(y, mul(c_half, k2, stage), stage)
             f3(t + half)
-            np.add(y, np.multiply(c_dt, k3, out=stage), out=stage)
+            add(y, mul(c_dt, k3, stage), stage)
             f4(t + dt)
-            np.add(k2, k3, out=inc)
-            np.multiply(c_two, inc, out=inc)
-            np.add(k1, inc, out=inc)
-            np.add(inc, k4, out=inc)
-            np.multiply(c_sixth, inc, out=inc)
-            np.subtract(inc, comp, out=inc)
-            np.add(y, inc, out=ynew)
-            np.subtract(ynew, y, out=comp)
-            np.subtract(comp, inc, out=comp)
+            add(k2, k3, inc)
+            mul(c_two, inc, inc)
+            add(k1, inc, inc)
+            add(inc, k4, inc)
+            mul(c_sixth, inc, inc)
+            sub(inc, comp, inc)
+            add(y, inc, ynew)
+            sub(ynew, y, comp)
+            sub(comp, inc, comp)
             y, ynew = ynew, y
+            yflat, ynewflat = ynewflat, yflat
             f1, f1_next = f1_next, f1
             # y . 0 is NaN exactly when some element of y is not finite,
             # and a product with zero cannot overflow
-            if not math.isfinite(np.vdot(y, zeros)):
+            if not isfinite(yflat.dot(zeros)):
                 raise IntegrationDiverged(
                     f"state became non-finite at t={t0 + i * dt:g}", last_time=t,
                     nonfinite=tuple(map(tuple, np.argwhere(~np.isfinite(y)).tolist())),
@@ -358,6 +361,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     n_steps = step_count(tau_end, dt)
     m, k1 = np.array(params.m), np.array(params.k1)
     neg_metric = -METRIC
+    mul, div, sub = np.multiply, np.divide, np.subtract
 
     def deriv(y, out):
         x, p, q, pi = (y[..., a:a + 4] for a in (0, 4, 8, 12))
@@ -371,10 +375,9 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                 pdot[...] = 0.0
             else:
                 grad()
-                np.multiply(neg_metric, pdot, out=pdot)
-            np.divide(pi, k1, out=qdot)
-            np.multiply(m, q, out=mq)
-            np.subtract(mq, p, out=pidot)
+                mul(neg_metric, pdot, pdot)
+            div(pi, k1, qdot)
+            sub(mul(m, q, mq), p, pidot)
         return f
 
     times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride)
@@ -412,8 +415,9 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
 
     c_scale = np.array((-1.0) ** (n + 1) / params.k[n])
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
-    pc = p.components
+    neg_pc = -p.components
     nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
+    mul, add = np.multiply, np.add
 
     def deriv(y, out):
         shifted, rates = y[..., 4:4 * nblocks], out[..., :4 * (nblocks - 1)]
@@ -424,11 +428,11 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
 
         def f(tau):
             rates[...] = shifted  # xdot = v, shift the stack
-            np.negative(pc, out=acc)
+            total = neg_pc  # -p, then + c_i v^(2i) term by term
             for ci, v in terms:
-                np.multiply(ci, v, out=tmp)
-                np.add(acc, tmp, out=acc)
-            np.multiply(acc, c_scale, out=acc)
+                add(total, mul(ci, v, tmp), acc)
+                total = acc
+            mul(acc, c_scale, acc)
         return f
 
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])

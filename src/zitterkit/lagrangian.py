@@ -86,10 +86,11 @@ class Potential:
         contents of ``x`` into every element of ``out``.
 
         The shapes are checked here, once.  A built-in binder slices its
-        views and allocates its scratch here too, and ``g`` runs the same
-        ufuncs in the same order as the textbook expression, with ``out=``,
-        so its results are bit-identical to it.  A user ``grad`` is wrapped
-        in a ``g`` that checks the shape of every result it returns.
+        views, allocates scratch, binds its ufuncs to locals and folds any
+        exact sign flip into a 0-d constant here too (``(-m a) - g`` is
+        ``-g - m a`` bit for bit); ``g`` passes ``out`` positionally and is
+        bit-identical to the textbook expression.  A user ``grad`` is
+        wrapped in a ``g`` that checks the shape of every result it returns.
         """
         if np.shape(out) != np.shape(x):
             raise ValueError(f"potential {self.label!r} cannot bind a gradient buffer of "
@@ -243,10 +244,10 @@ class ScalarPotential(Potential):
         s = float(strength)
 
         def bind(x, out):
-            time_part = out[..., 0]
+            time_part, c_s, mul = out[..., 0], np.array(s), np.multiply
 
             def g():
-                np.multiply(s, x, out=out)
+                mul(c_s, x, out)
                 time_part[...] = 0.0
             return g
 

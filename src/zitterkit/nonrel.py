@@ -97,16 +97,15 @@ class Potential3D(Potential):
             return envelope((np.asarray(x, dtype=float) ** 2).sum(-1))
 
         def bind(x, out):
-            t, c_sig2 = np.empty_like(x), np.array(sig2)
+            t, neg_sig2 = np.empty_like(x), np.array(-sig2)
+            square, div, mul, add_reduce = np.square, np.divide, np.multiply, np.add.reduce
 
-            # -x / sig2 * fn(x)[..., None], with the squares summed by
-            # .sum(-1) as in fn; for a single point the envelope stays numpy
-            # scalar arithmetic, which costs less than 0-d ufuncs with out=
+            # (-x) / sig2 * fn(x)[..., None] as x / (-sig2), the squares summed
+            # by the reduction .sum(-1) runs in fn; for one point the envelope
+            # stays numpy scalar arithmetic, cheaper than 0-d ufuncs with out
             def g():
-                e = envelope(np.square(x, out=t).sum(-1))
-                np.negative(x, out=t)
-                np.divide(t, c_sig2, out=t)
-                np.multiply(t, e[..., None], out=out)
+                e = envelope(add_reduce(square(x, t), -1))
+                mul(div(x, neg_sig2, t), e[..., None], out)
             return g
 
         return cls(fn, binder=bind, label="gaussian")
@@ -231,22 +230,21 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     djdt = (4 m c^4 / hbar^2) (F(x) - m a) with F = -grad U.
     """
     n_steps = step_count(t_end, dt)
-    m = np.array(params.m)
+    neg_m = np.array(-params.m)
     inv_lam = np.array(1.0 / zbw_coefficient(params))
+    mul, sub = np.multiply, np.subtract
 
     def deriv(y, out):
         x, xva, a = y[..., 0:3], y[..., 3:12], y[..., 6:9]
         rates, jdot = out[..., 0:9], out[..., 9:12]
-        tmp, ma = np.empty_like(a), np.empty_like(a)
-        grad = pot.bind(x, tmp)
+        g, ma = np.empty_like(a), np.empty_like(a)
+        grad = pot.bind(x, g)
 
         def f(t):
             rates[...] = xva
             grad()
-            np.negative(tmp, out=tmp)
-            np.multiply(m, a, out=ma)
-            np.subtract(tmp, ma, out=tmp)
-            np.multiply(inv_lam, tmp, out=jdot)
+            # (-m a) - g is (-g) - m a bit for bit, signed zeros included
+            mul(inv_lam, sub(mul(neg_m, a, ma), g, ma), jdot)
         return f
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
@@ -265,19 +263,18 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
-    m = np.array(params.m)
+    m, neg_m, div = np.array(params.m), np.array(-params.m), np.divide
 
     def deriv(y, out):
         x, v = y[..., 0:3], y[..., 3:6]
         xdot, vdot = out[..., 0:3], out[..., 3:6]
-        tmp = np.empty_like(v)
-        grad = pot.bind(x, tmp)
+        g = np.empty_like(v)
+        grad = pot.bind(x, g)
 
         def f(t):
             xdot[...] = v
             grad()
-            np.negative(tmp, out=tmp)
-            np.divide(tmp, m, out=vdot)
+            div(g, neg_m, vdot)  # (-g) / m
         return f
 
     y0 = np.concatenate([x0, v0])

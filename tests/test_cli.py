@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -287,7 +288,11 @@ def test_divergent_scenario_exits_3(tmp_path, capsys):
     code = main(["run", str(path), "--set", "integrator.dt=10",
                  "--set", "integrator.t_end=2000"])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    # the line names how many state entries went non-finite and the first
+    assert re.search(r"\(last good time \S+; non-finite entries: [1-9]\d*, "
+                     r"first at index \(\d+,\)\)$", err.strip())
 
 
 def test_schema_command_prints_valid_json(capsys):
@@ -370,6 +375,18 @@ def test_shipped_scenarios_validate():
     for name in os.listdir(SCENARIO_DIR):
         scn = load_scenario(scenario_path(name))
         _validate_scenario(scn)
+
+
+def test_every_schema_is_valid_in_the_dialect_it_is_validated_with():
+    from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
+
+    from zitterkit.cli import _INITIAL_SCHEMAS, _validator
+
+    assert type(_validator()) is validator_for(SCENARIO_SCHEMA) is Draft7Validator
+    Draft7Validator.check_schema(SCENARIO_SCHEMA)
+    for kind, schema in _INITIAL_SCHEMAS.items():
+        assert type(_validator(kind)) is validator_for(schema) is Draft202012Validator
+        Draft202012Validator.check_schema(schema)
 
 
 def test_splitmix_determinism():

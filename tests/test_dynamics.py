@@ -302,6 +302,14 @@ def test_divergence_names_the_member_and_keeps_the_last_finite_state(value):
     assert np.array_equal(err.value.last_state, ref[-1])
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_rk4_path_checks_a_state_in_any_memory_order(value):
+    y0 = np.asfortranarray([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
+    assert not y0.flags.c_contiguous
+    got = _divergence(_injecting(value, 0.42, (1, 1)), y0)
+    assert got == _divergence(_injecting(value, 0.42, (1, 1)), np.ascontiguousarray(y0))
+
+
 def test_rk4_path_finite_check_does_not_overflow():
     # finite entries whose sum (or squared norm) overflows to inf
     y0 = np.array([1e308, 1e308, -1e308, 1e308])
@@ -387,6 +395,33 @@ def test_integrate_nr_matches_the_textbook_closure(name):
     times, samples = _reference_rk4(_textbook(deriv), y0, 0.25, 1e-3, 50, 3)
     assert np.array_equal(traj.times, times)
     _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
+
+
+NEWTONIAN_POTENTIALS = {
+    **NR_POTENTIALS,
+    "step": Potential3D.smoothed_step(0.8, 0.5),
+    "uniform": Potential3D.uniform_force([0.3, -0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTONIAN_POTENTIALS))
+def test_integrate_newtonian_matches_the_textbook_closure(name):
+    pot = NEWTONIAN_POTENTIALS[name]
+    # the z axis is at rest at -0.0, so the sign of every zero the closure
+    # writes is compared too; 0 - g / m, say, would turn -0.0 into +0.0
+    x0, v0 = np.array([0.4, -0.0, -0.0]), np.array([-0.0, 0.5, -0.0])
+    m = PARAMS.m
+
+    def deriv(t, y, out):
+        out[0:3] = y[3:6]
+        out[3:6] = -pot.gradient(y[0:3]) / m
+
+    traj = integrate_newtonian(x0, v0, PARAMS, pot, 0.05, 1e-3, stride=3)
+    times, samples = _reference_rk4(_textbook(deriv), np.concatenate([x0, v0]),
+                                    0.0, 1e-3, 50, 3)
+    assert np.array_equal(traj.times, times)
+    _assert_bit_identical(np.hstack([traj.xs, traj.vs]), samples)
+    assert np.signbit(samples[:, 2]).any()
 
 
 HAMILTON_POTENTIALS = {
