@@ -298,6 +298,19 @@ def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
     return [f"output: {path} ({len(rows)} rows, {fmt})"]
 
 
+def _final_time(integ: dict) -> list[str]:
+    """A line saying where the run ends when step_count had to round
+    t_end/dt, so that the final sample is off t_end by more than roundoff."""
+    t_end, dt = integ["t_end"], integ["dt"]
+    steps = dynamics.step_count(t_end, dt)
+    quotient = t_end / dt
+    if abs(quotient - steps) <= 1e-9 * steps:
+        return []
+    end = steps * dt
+    return [f"final time {end:.10g} is {end - t_end:+.2e} off t_end={t_end:.10g}: "
+            f"t_end/dt = {quotient:.6f} rounds to {steps} steps"]
+
+
 def _fmt_items(items: dict) -> list[str]:
     width = max(len(k) for k in items)
     return [f"  {k.ljust(width)}  {v:.3e}" for k, v in items.items()]
@@ -583,6 +596,7 @@ def run_scenario(scn: dict) -> int:
         lines, (header, rows) = _RUNNERS[kind](scn)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+    lines.extend(_final_time(scn["integrator"]))
     lines.extend(_write_table(scn, header, rows))
     for line in lines:
         print(line)

@@ -8,6 +8,7 @@ asserts.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -67,7 +68,60 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, int(round(t_end / dt)))
 
 
-def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
+def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
+    """The error for a step to ``t_next`` that left ``state`` non-finite."""
+    return IntegrationDiverged(
+        f"state became non-finite at t={t_next:g}", last_time=last_time,
+        nonfinite=tuple(map(tuple, np.argwhere(~np.isfinite(state)).tolist())),
+        last_state=np.array(last_state, dtype=float))
+
+
+@functools.cache
+def _straight_line_rk4(n: int):
+    """The step loop of :func:`rk4_path` written out for a state of n floats.
+
+    The generated ``run(rates, y, t0, dt, n_steps, stride, times, samples)``
+    keeps each component, stage rate and compensation term in a local
+    float and does the array loop's arithmetic in its order, so it returns
+    the same bits.  It is compiled on first use and kept for each n.
+    """
+    def each(template, sep=", "):
+        return sep.join(template.format(c=c) for c in range(n))
+
+    ys = each("y{c}")
+    step = "\n        ".join(
+        [f"{each('k1_{c}')}, = rates(t, {ys})",
+         f"{each('k2_{c}')}, = rates(t + half, {each('y{c} + half * k1_{c}')})",
+         f"{each('k3_{c}')}, = rates(t + half, {each('y{c} + half * k2_{c}')})",
+         f"{each('k4_{c}')}, = rates(t + dt, {each('y{c} + dt * k3_{c}')})"]
+        + [line.format(c=c) for c in range(n) for line in (
+            "e{c} = sixth * ((k1_{c} + 2.0 * (k2_{c} + k3_{c})) + k4_{c}) - c{c}",
+            "n{c} = y{c} + e{c}",
+            "c{c} = (n{c} - y{c}) - e{c}")])
+    source = f"""
+def run(rates, y, t0, dt, n_steps, stride, times, samples, isfinite=isfinite):
+    {ys}, = y
+    {each('c{c}')}, = {(0.0,) * n}
+    half, sixth = 0.5 * dt, dt / 6.0
+    j = 1
+    for i in range(1, n_steps + 1):
+        t = t0 + (i - 1) * dt
+        {step}
+        # the float form of y . 0: NaN exactly when some component is not finite
+        if not isfinite({each('n{c} * 0.0', ' + ')}):
+            raise diverged(t0 + i * dt, t, ({each('n{c}')},), ({ys},))
+        {each('y{c} = n{c}', '; ')}
+        if i % stride == 0 or i == n_steps:
+            times[j] = t0 + i * dt
+            samples[j] = {ys},
+            j += 1
+"""
+    namespace = {"isfinite": math.isfinite, "diverged": _diverged}
+    exec(compile(source, f"<rk4 straight line n={n}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1, rates=None):
     """Classical fixed-step RK4 over a state array of any shape.
 
     ``deriv(y, out)`` binds a state buffer ``y`` to a derivative buffer
@@ -80,6 +134,14 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     plus the final step.  The state update uses compensated summation so
     that long runs stay truncation-limited rather than roundoff-limited.
     Raises :class:`IntegrationDiverged` if the state stops being finite.
+
+    ``rates``, if given, is the same derivative as a function of floats:
+    ``rates(t, y_0, ..., y_{n-1})`` returns the n rates.  For a 1-D state
+    the driver then runs a straight-line loop on n Python floats instead of
+    the array loop, with the same arithmetic in the same order, so the
+    times, samples and errors are the same bits: CPython floats and numpy's
+    elementwise loops both round IEEE doubles, with no fused multiply-add.
+    A stacked state always runs the array loop.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -88,15 +150,20 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     y = np.array(y0, dtype=float, order="C")
-    comp = np.zeros_like(y)
-    k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
-    # flat views that follow y and ynew through the swaps, for the check
-    yflat, ynewflat, zeros = y.reshape(-1), ynew.reshape(-1), np.zeros(y.size)
     n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
     times = np.empty(n_samples)
     samples = np.empty((n_samples,) + y.shape)
     times[0] = t0
     samples[0] = y
+    if rates is not None and y.ndim == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _straight_line_rk4(y.size)(rates, y.tolist(), t0, dt, n_steps, stride,
+                                       times, samples)
+        return times, samples
+    comp = np.zeros_like(y)
+    k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
+    # flat views that follow y and ynew through the swaps, for the check
+    yflat, ynewflat, zeros = y.reshape(-1), ynew.reshape(-1), np.zeros(y.size)
     j = 1
     half = 0.5 * dt
     # the same constants as 0-d arrays, so no ufunc call converts a float
@@ -129,10 +196,7 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
             # y . 0 is NaN exactly when some element of y is not finite,
             # and a product with zero cannot overflow
             if not isfinite(yflat.dot(zeros)):
-                raise IntegrationDiverged(
-                    f"state became non-finite at t={t0 + i * dt:g}", last_time=t,
-                    nonfinite=tuple(map(tuple, np.argwhere(~np.isfinite(y)).tolist())),
-                    last_state=ynew.copy())
+                raise _diverged(t0 + i * dt, t, y, ynew)
             if i % stride == 0 or i == n_steps:
                 times[j] = t0 + i * dt
                 samples[j] = y

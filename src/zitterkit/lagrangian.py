@@ -48,54 +48,58 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
     return (values[..., :d] - values[..., d:]) / (2.0 * h)
 
 
-def _constant_binder(partials):
-    """Binder whose gradient is the same ``partials`` at every point."""
-    def bind(x, out):
-        def g():
-            out[...] = partials
-        return g
-    return bind
-
-
 class Potential:
     """Scalar potential U on points of shape (..., D).
 
     ``fn`` returns values of shape (...).  The plain partials dU/dx^i come
-    from ``binder``, from ``grad`` or, given neither, from one batched
+    from ``partials``, from ``grad`` or, given neither, from one batched
     :func:`central_gradient` call per evaluation (see :meth:`bind`).  There
     is no per-point fallback: a result of the wrong shape raises ValueError
-    naming ``label``.
+    naming ``label``.  ``partials(x_1, ..., x_D)`` takes the D coordinates
+    separately and returns the D partials; it must give the same bits on
+    floats as on arrays of them, which is how every built-in defines its
+    gradient once.
     """
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
                  label: str = "potential", step: float = 1e-6,
-                 binder: Callable | None = None):
-        if grad is not None and binder is not None:
-            raise ValueError(f"potential {label!r}: give grad or binder, not both")
+                 partials: Callable | None = None):
+        if grad is not None and partials is not None:
+            raise ValueError(f"potential {label!r}: give grad or partials, not both")
         self._fn = fn
         self._grad = grad
+        self.partials = partials
         self.label = label
         self.step = float(step)
-        if binder is None:
-            binder = self._grad_binder if grad is not None else self._central_binder
-        self._binder = binder
 
     def bind(self, x, out):
         """Bind points ``x`` (..., D) to a buffer ``out`` of the same shape
         and return ``g``; ``g()`` writes the partials at the current
         contents of ``x`` into every element of ``out``.
 
-        The shapes are checked here, once.  A built-in binder slices its
-        views, allocates scratch, binds its ufuncs to locals and folds any
-        exact sign flip into a 0-d constant here too (``(-m a) - g`` is
-        ``-g - m a`` bit for bit); ``g`` passes ``out`` positionally and is
-        bit-identical to the textbook expression.  A user ``grad`` is
+        The shapes are checked here, once.  A built-in's ``partials`` is
+        called on the column views ``x[..., i]`` and each of the D values
+        it returns is written into ``out[..., i]``.  A user ``grad`` is
         wrapped in a ``g`` that checks the shape of every result it returns.
         """
         if np.shape(out) != np.shape(x):
             raise ValueError(f"potential {self.label!r} cannot bind a gradient buffer of "
                              f"shape {np.shape(out)} to points of shape {np.shape(x)}")
-        return self._binder(x, out)
+        if self.partials is not None:
+            return self._partials_binder(x, out)
+        if self._grad is not None:
+            return self._grad_binder(x, out)
+        return self._central_binder(x, out)
+
+    def _partials_binder(self, x, out):
+        partials, d = self.partials, x.shape[-1]
+        columns = [x[..., i] for i in range(d)]
+        targets = [out[..., i] for i in range(d)]
+
+        def g():
+            for target, value in zip(targets, partials(*columns)):
+                target[...] = value
+        return g
 
     def _grad_binder(self, x, out):
         def g():
@@ -110,6 +114,25 @@ class Potential:
         def g():
             out[...] = central_gradient(self.value_many, x, self.step)
         return g
+
+    def component_gradient(self, d: int) -> Callable:
+        """The partials as a function of the d coordinates of one point,
+        given and returned as floats, for the straight-line RK4 kernel.
+
+        For a built-in this is ``partials`` itself.  Otherwise it is a
+        bridge that packs the coordinates into a (d,) buffer, runs the
+        bound gradient, checks included, and returns its d values.
+        """
+        if self.partials is not None:
+            return self.partials
+        x, out = np.empty(d), np.empty(d)
+        g = self.bind(x, out)
+
+        def bridge(*coords):
+            x[...] = coords
+            g()
+            return tuple(out.tolist())
+        return bridge
 
     def value(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -136,7 +159,7 @@ class Potential:
     @classmethod
     def zero(cls) -> "Potential":
         return cls(lambda x: np.zeros(np.shape(x)[:-1]),
-                   binder=_constant_binder(0.0), label="zero")
+                   partials=lambda *x: (0.0,) * len(x), label="zero")
 
 
 @dataclass(frozen=True)
@@ -235,24 +258,17 @@ class ScalarPotential(Potential):
         bl = METRIC * np.asarray(b, dtype=float)
         if bl.shape != (4,):
             raise ValueError(f"b must have 4 components, got shape {bl.shape}")
+        partials = tuple(bl.tolist())
         return cls(lambda x: (np.asarray(x) * bl).sum(-1),
-                   binder=_constant_binder(bl), label="linear")
+                   partials=lambda x0, x1, x2, x3: partials, label="linear")
 
     @classmethod
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
         """U(x) = (strength/2) |x_spatial|^2 with analytic gradient."""
         s = float(strength)
-
-        def bind(x, out):
-            time_part, c_s, mul = out[..., 0], np.array(s), np.multiply
-
-            def g():
-                mul(c_s, x, out)
-                time_part[...] = 0.0
-            return g
-
         return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
-                   binder=bind, label="harmonic")
+                   partials=lambda x0, x1, x2, x3: (0.0, s * x1, s * x2, s * x3),
+                   label="harmonic")
 
 
 def _check_stack(stack: Sequence[FourVector], needed: int, what: str):

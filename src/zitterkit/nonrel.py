@@ -9,12 +9,11 @@ classically forbidden barrier traversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .dynamics import rk4_path, step_count
-from .lagrangian import ModelParams, Potential, _constant_binder
+from .lagrangian import ModelParams, Potential
 
 __all__ = [
     "KinState3D",
@@ -42,6 +41,13 @@ def _vec3(value, name: str) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _exp(z):
+    """np.exp, which math.exp does not match bit for bit; for a float it
+    returns a float, so the straight-line RK4 kernel stays on floats."""
+    e = np.exp(z)
+    return float(e) if type(z) is float else e
 
 
 def zbw_coefficient(params: ModelParams) -> float:
@@ -74,41 +80,33 @@ class Potential3D(Potential):
     def uniform_force(cls, force) -> "Potential3D":
         """Linear potential U = -F.x giving the constant force F."""
         f = _vec3(force, "force")
+        partials = tuple((-f).tolist())
         return cls(lambda x: -(np.asarray(x) * f).sum(-1),
-                   binder=_constant_binder(-f), label="uniform")
+                   partials=lambda x0, x1, x2: partials, label="uniform")
 
     @classmethod
     def harmonic(cls, strength: float) -> "Potential3D":
-        s = np.array(float(strength))
+        s = float(strength)
         return cls(lambda x: 0.5 * s * (np.asarray(x) ** 2).sum(-1),
-                   binder=lambda x, out: partial(np.multiply, s, x, out),
+                   partials=lambda x0, x1, x2: (s * x0, s * x1, s * x2),
                    label="harmonic")
 
     @classmethod
     def gaussian_barrier(cls, height: float, width: float) -> "Potential3D":
         u0 = float(height)
         sig2 = float(width) ** 2
-        two_sig2 = 2.0 * sig2
-
-        def envelope(r2):
-            return u0 * np.exp(-r2 / two_sig2)
+        two_sig2, neg_sig2 = 2.0 * sig2, -sig2
 
         def fn(x):
-            return envelope((np.asarray(x, dtype=float) ** 2).sum(-1))
+            return u0 * np.exp(-(np.asarray(x, dtype=float) ** 2).sum(-1) / two_sig2)
 
-        def bind(x, out):
-            t, neg_sig2 = np.empty_like(x), np.array(-sig2)
-            square, div, mul, add_reduce = np.square, np.divide, np.multiply, np.add.reduce
+        # (-x) / sig2 * U as x / (-sig2) * U; the squares are summed in the
+        # order of fn's .sum(-1), (x0 x0 + x1 x1) + x2 x2
+        def partials(x0, x1, x2):
+            e = u0 * _exp(-((x0 * x0 + x1 * x1) + x2 * x2) / two_sig2)
+            return x0 / neg_sig2 * e, x1 / neg_sig2 * e, x2 / neg_sig2 * e
 
-            # (-x) / sig2 * fn(x)[..., None] as x / (-sig2), the squares summed
-            # by the reduction .sum(-1) runs in fn; for one point the envelope
-            # stays numpy scalar arithmetic, cheaper than 0-d ufuncs with out
-            def g():
-                e = envelope(add_reduce(square(x, t), -1))
-                mul(div(x, neg_sig2, t), e[..., None], out)
-            return g
-
-        return cls(fn, binder=bind, label="gaussian")
+        return cls(fn, partials=partials, label="gaussian")
 
     @classmethod
     def smoothed_step(cls, height: float, width: float) -> "Potential3D":
@@ -117,21 +115,16 @@ class Potential3D(Potential):
         sig = float(width)
 
         def _sigmoid(x0):
-            return 1.0 / (1.0 + np.exp(-x0 / sig))
+            return 1.0 / (1.0 + _exp(-x0 / sig))
 
         def fn(x):
             return u0 * _sigmoid(np.asarray(x, dtype=float)[..., 0])
 
-        def bind(x, out):
-            x0, along, across = x[..., 0], out[..., 0], out[..., 1:]
+        def partials(x0, x1, x2):
+            s = _sigmoid(x0)
+            return u0 * s * (1.0 - s) / sig, 0.0, 0.0
 
-            def g():
-                s = _sigmoid(x0)
-                across[...] = 0.0
-                along[...] = u0 * s * (1.0 - s) / sig
-            return g
-
-        return cls(fn, binder=bind, label="step")
+        return cls(fn, partials=partials, label="step")
 
 
 @dataclass(frozen=True)
@@ -230,25 +223,32 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     djdt = (4 m c^4 / hbar^2) (F(x) - m a) with F = -grad U.
     """
     n_steps = step_count(t_end, dt)
-    neg_m = np.array(-params.m)
-    inv_lam = np.array(1.0 / zbw_coefficient(params))
+    neg_m, inv_lam = -float(params.m), 1.0 / zbw_coefficient(params)
     mul, sub = np.multiply, np.subtract
 
     def deriv(y, out):
         x, xva, a = y[..., 0:3], y[..., 3:12], y[..., 6:9]
-        rates, jdot = out[..., 0:9], out[..., 9:12]
+        xvadot, jdot = out[..., 0:9], out[..., 9:12]
         g, ma = np.empty_like(a), np.empty_like(a)
         grad = pot.bind(x, g)
+        c_neg_m, c_inv_lam = np.array(neg_m), np.array(inv_lam)
 
         def f(t):
-            rates[...] = xva
+            xvadot[...] = xva
             grad()
             # (-m a) - g is (-g) - m a bit for bit, signed zeros included
-            mul(inv_lam, sub(mul(neg_m, a, ma), g, ma), jdot)
+            mul(c_inv_lam, sub(mul(c_neg_m, a, ma), g, ma), jdot)
         return f
 
+    partials = pot.component_gradient(3)
+
+    def rates(t, x1, x2, x3, v1, v2, v3, a1, a2, a3, j1, j2, j3):
+        g1, g2, g3 = partials(x1, x2, x3)
+        return (v1, v2, v3, a1, a2, a3, j1, j2, j3, inv_lam * (neg_m * a1 - g1),
+                inv_lam * (neg_m * a2 - g2), inv_lam * (neg_m * a3 - g3))
+
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
-    times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride)
+    times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride, rates=rates)
     return _make_traj(params, pot, times, samples[:, 0:3], samples[:, 3:6],
                       samples[:, 6:9], samples[:, 9:12])
 
@@ -263,22 +263,29 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
-    m, neg_m, div = np.array(params.m), np.array(-params.m), np.divide
+    m, neg_m, div = np.array(params.m), -float(params.m), np.divide
 
     def deriv(y, out):
         x, v = y[..., 0:3], y[..., 3:6]
         xdot, vdot = out[..., 0:3], out[..., 3:6]
         g = np.empty_like(v)
         grad = pot.bind(x, g)
+        c_neg_m = np.array(neg_m)
 
         def f(t):
             xdot[...] = v
             grad()
-            div(g, neg_m, vdot)  # (-g) / m
+            div(g, c_neg_m, vdot)  # (-g) / m
         return f
 
+    partials = pot.component_gradient(3)
+
+    def rates(t, x1, x2, x3, v1, v2, v3):
+        g1, g2, g3 = partials(x1, x2, x3)
+        return v1, v2, v3, g1 / neg_m, g2 / neg_m, g3 / neg_m
+
     y0 = np.concatenate([x0, v0])
-    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)
+    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride, rates=rates)
     xs = samples[:, 0:3]
     accs = -pot.gradient(xs) / m
     jerks = np.zeros_like(xs)

@@ -194,6 +194,16 @@ def test_nonrel_scenario_runs(tmp_path, capsys):
     assert header.startswith("t,x1,x2,x3,v1") and header.endswith("T_newton,T_zbw,T,U,E_total")
 
 
+def test_summary_names_a_rounded_final_time(tmp_path, capsys):
+    path = short_free_scenario(tmp_path)
+    assert main(["run", str(path)]) == 0
+    assert "final time" not in capsys.readouterr().out  # 0.5 / 0.001 steps
+    assert main(["run", str(path), "--set", "integrator.dt=0.003"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "final time" in line] == [
+        "final time 0.501 is +1.00e-03 off t_end=0.5: t_end/dt = 166.666667 rounds to 167 steps"]
+
+
 def test_general_n_scenario_runs(tmp_path, capsys):
     out = tmp_path / "general.csv"
     code = main(["run", scenario_path("general_n2.json"),
@@ -283,10 +293,19 @@ def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_divergent_scenario_exits_3(tmp_path, capsys):
-    path = short_free_scenario(tmp_path)
-    code = main(["run", str(path), "--set", "integrator.dt=10",
-                 "--set", "integrator.t_end=2000"])
+DIVERGENT_RUNS = {
+    # the free run takes the array loop, the nonrel run the straight-line one
+    "free": lambda tmp_path: [str(short_free_scenario(tmp_path)), "--set", "integrator.dt=10",
+                              "--set", "integrator.t_end=2000"],
+    "nonrel": lambda tmp_path: [scenario_path("nonrel_harmonic.json"),
+                                "--set", f"output.path={tmp_path / 'out.csv'}",
+                                "--set", "integrator.dt=10", "--set", "integrator.t_end=1000"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(DIVERGENT_RUNS))
+def test_divergent_scenario_exits_3(tmp_path, capsys, run):
+    code = main(["run", *DIVERGENT_RUNS[run](tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert "diverged" in err

@@ -280,6 +280,36 @@ def test_rk4_path_raises_on_the_step_a_component_turns_non_finite(value):
     assert got == (0.4, "state became non-finite at t=0.5")
 
 
+def _injecting_rates(value, t_bad, where):
+    """The float form of :func:`_injecting`."""
+    def rates(t, *y):
+        out = [-0.1 * c for c in y]
+        if t >= t_bad:
+            out[where] = value
+        return out
+    return rates
+
+
+def _assert_same_divergence(got, ref):
+    assert str(got) == str(ref)
+    assert got.last_time == ref.last_time
+    assert got.nonfinite == ref.nonfinite
+    _assert_bit_identical(got.last_state, ref.last_state)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_straight_line_divergence_equals_the_array_loop(value):
+    y0 = np.array([1.0, -0.5, 0.0, 0.3])
+    with pytest.raises(IntegrationDiverged) as ref:
+        rk4_path(_injecting(value, 0.42, 1), y0, 0.0, 0.1, 20, 3)
+    # no binder at all: only the straight-line loop can run
+    with pytest.raises(IntegrationDiverged) as got:
+        rk4_path(None, y0, 0.0, 0.1, 20, 3, rates=_injecting_rates(value, 0.42, 1))
+    _assert_same_divergence(got.value, ref.value)
+    assert got.value.nonfinite == ((1,),)
+    assert (got.value.last_time, str(got.value)) == (0.4, "state became non-finite at t=0.5")
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_rk4_path_raises_when_one_stacked_member_diverges(value):
     y0 = np.array([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
@@ -336,8 +366,8 @@ def test_rk4_path_binds_five_buffer_pairs_once(n_steps):
     assert len(bound) == 5
 
 
-def test_integrate_nr_binds_the_gradient_once_per_buffer_pair(monkeypatch):
-    binds, gradients = [], []
+def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch):
+    binds, gradients, partials_calls = [], [], []
     bind, gradient = Potential3D.bind, Potential3D.gradient
 
     def counting_bind(self, x, out):
@@ -350,11 +380,20 @@ def test_integrate_nr_binds_the_gradient_once_per_buffer_pair(monkeypatch):
 
     monkeypatch.setattr(Potential3D, "bind", counting_bind)
     monkeypatch.setattr(Potential3D, "gradient", counting_gradient)
+    pot = Potential3D.harmonic(1.0)
+    partials = pot.partials
+
+    def counting_partials(*x):
+        partials_calls.append(1)
+        return partials(*x)
+
+    pot.partials = counting_partials
     s0 = KinState3D(t=0.0, x=[1.0, 0, 0], v=[0, 0.5, 0], a=[0, 0, 0], j=[0, 0, 0])
-    traj = integrate_nr(s0, PARAMS, Potential3D.harmonic(1.0), 0.137, 1e-3)
+    traj = integrate_nr(s0, PARAMS, pot, 0.137, 1e-3)
     assert len(traj) == 138
-    assert len(binds) == 5
+    assert len(binds) == 0
     assert len(gradients) == 0
+    assert len(partials_calls) == 4 * 137
 
 
 def _textbook(deriv):
@@ -370,19 +409,40 @@ def _assert_bit_identical(got, ref):
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+def _user_fn(x):
+    return 0.3 * (x**2).sum(-1) + 0.1 * x[..., 0] * x[..., 1]
+
+
+def _user_grad(x):
+    return np.stack([0.6 * x[..., 0] + 0.1 * x[..., 1], 0.6 * x[..., 1] + 0.1 * x[..., 0],
+                     0.6 * x[..., 2]], -1)
+
+
 NR_POTENTIALS = {
     "zero": Potential3D.zero(),
     "harmonic": Potential3D.harmonic(1.0),
     "gaussian": Potential3D.gaussian_barrier(0.5, 0.3),
+    "user_fn": Potential3D(_user_fn, label="user_fn"),
+    "user_grad": Potential3D(_user_fn, grad=_user_grad, label="user_grad"),
 }
+
+NR_STARTS = [
+    # the z axis is at rest at -0.0, where -(g + m a) would flip signed zeros
+    KinState3D(t=0.25, x=[0.4, -0.0, -0.0], v=[-0.0, 0.5, -0.0],
+               a=[0.1, -0.0, -0.0], j=[-0.0, 0.0, -0.0]),
+    # off every axis, where the order of the gaussian's sum of squares shows
+    KinState3D(t=0.25, x=[0.4, -0.23, 0.17], v=[-0.0, 0.5, -0.2],
+               a=[0.1, -0.0, 0.3], j=[-0.0, 0.2, -0.0]),
+]
+
+
+def _nr_state(s0):
+    return np.concatenate([s0.x, s0.v, s0.a, s0.j])
 
 
 @pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
 def test_integrate_nr_matches_the_textbook_closure(name):
     pot = NR_POTENTIALS[name]
-    # the z axis is at rest at -0.0, where -(g + m a) would flip signed zeros
-    s0 = KinState3D(t=0.25, x=[0.4, -0.0, -0.0], v=[-0.0, 0.5, -0.0],
-                    a=[0.1, -0.0, -0.0], j=[-0.0, 0.0, -0.0])
     m = PARAMS.m
     inv_lam = 1.0 / zbw_coefficient(PARAMS)
 
@@ -390,11 +450,55 @@ def test_integrate_nr_matches_the_textbook_closure(name):
         out[0:9] = y[3:12]
         out[9:12] = inv_lam * (-pot.gradient(y[0:3]) - m * y[6:9])
 
-    traj = integrate_nr(s0, PARAMS, pot, 0.05, 1e-3, stride=3)
-    y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
-    times, samples = _reference_rk4(_textbook(deriv), y0, 0.25, 1e-3, 50, 3)
-    assert np.array_equal(traj.times, times)
-    _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
+    for s0 in NR_STARTS:
+        traj = integrate_nr(s0, PARAMS, pot, 0.05, 1e-3, stride=3)
+        times, samples = _reference_rk4(_textbook(deriv), _nr_state(s0), 0.25, 1e-3, 50, 3)
+        assert np.array_equal(traj.times, times)
+        _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
+
+
+def _nr_derivative_forms(monkeypatch, pot):
+    """The binder and the float form that integrate_nr hands to rk4_path."""
+    forms = {}
+
+    def spy(deriv, y0, t0, dt, n_steps, stride, rates=None):
+        forms.update(deriv=deriv, rates=rates)
+        return rk4_path(deriv, y0, t0, dt, n_steps, stride, rates=rates)
+
+    monkeypatch.setattr("zitterkit.nonrel.rk4_path", spy)
+    integrate_nr(NR_STARTS[0], PARAMS, pot, 1e-3, 1e-3)
+    return forms["deriv"], forms["rates"]
+
+
+@pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
+def test_nr_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
+    deriv, rates = _nr_derivative_forms(monkeypatch, NR_POTENTIALS[name])
+    calls = []
+
+    def counting_rates(*args):
+        calls.append(1)
+        return rates(*args)
+
+    y0 = np.array([_nr_state(s0) for s0 in NR_STARTS])
+    times, samples = rk4_path(deriv, y0, 0.25, 1e-3, 50, 3, rates=counting_rates)
+    assert samples.shape == (len(times), 2, 12)
+    assert calls == []
+    for k in range(2):
+        times_k, samples_k = rk4_path(deriv, y0[k], 0.25, 1e-3, 50, 3, rates=counting_rates)
+        assert np.array_equal(times, times_k)
+        _assert_bit_identical(samples[:, k], samples_k)
+    assert len(calls) == 2 * 4 * 50
+
+
+def test_integrate_nr_divergence_equals_the_array_loop(monkeypatch):
+    deriv, rates = _nr_derivative_forms(monkeypatch, Potential3D.harmonic(1.0))
+    y0 = _nr_state(KinState3D(t=0, x=[1, 0, 0], v=[0, 0, 0], a=[0, 0, 0], j=[0, 0, 0]))
+    with pytest.raises(IntegrationDiverged) as ref:
+        rk4_path(deriv, y0, 0.0, 10.0, 100, 1)
+    with pytest.raises(IntegrationDiverged) as got:
+        rk4_path(None, y0, 0.0, 10.0, 100, 1, rates=rates)
+    _assert_same_divergence(got.value, ref.value)
+    assert got.value.last_time == 950.0
 
 
 NEWTONIAN_POTENTIALS = {
@@ -407,21 +511,23 @@ NEWTONIAN_POTENTIALS = {
 @pytest.mark.parametrize("name", sorted(NEWTONIAN_POTENTIALS))
 def test_integrate_newtonian_matches_the_textbook_closure(name):
     pot = NEWTONIAN_POTENTIALS[name]
-    # the z axis is at rest at -0.0, so the sign of every zero the closure
-    # writes is compared too; 0 - g / m, say, would turn -0.0 into +0.0
-    x0, v0 = np.array([0.4, -0.0, -0.0]), np.array([-0.0, 0.5, -0.0])
     m = PARAMS.m
 
     def deriv(t, y, out):
         out[0:3] = y[3:6]
         out[3:6] = -pot.gradient(y[0:3]) / m
 
-    traj = integrate_newtonian(x0, v0, PARAMS, pot, 0.05, 1e-3, stride=3)
-    times, samples = _reference_rk4(_textbook(deriv), np.concatenate([x0, v0]),
-                                    0.0, 1e-3, 50, 3)
-    assert np.array_equal(traj.times, times)
-    _assert_bit_identical(np.hstack([traj.xs, traj.vs]), samples)
-    assert np.signbit(samples[:, 2]).any()
+    for s0 in NR_STARTS:
+        x0, v0 = s0.x, s0.v
+        traj = integrate_newtonian(x0, v0, PARAMS, pot, 0.05, 1e-3, stride=3)
+        times, samples = _reference_rk4(_textbook(deriv), np.concatenate([x0, v0]),
+                                        0.0, 1e-3, 50, 3)
+        assert np.array_equal(traj.times, times)
+        _assert_bit_identical(np.hstack([traj.xs, traj.vs]), samples)
+        # from the first start the z axis is at rest at -0.0, so the sign of
+        # every zero the closure writes is compared too; 0 - g / m, say,
+        # would turn -0.0 into +0.0
+        assert s0 is not NR_STARTS[0] or np.signbit(samples[:, 2]).any()
 
 
 HAMILTON_POTENTIALS = {

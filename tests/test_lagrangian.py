@@ -274,7 +274,7 @@ def _assert_bit_identical(got, ref):
 @pytest.mark.parametrize("name", sorted(BUILTIN_GRADIENTS))
 def test_builtin_binders_match_the_textbook_gradient(name):
     pot, textbook, d = BUILTIN_GRADIENTS[name]
-    stack = np.random.default_rng(11).uniform(-2, 2, size=(5, d))
+    stack = np.random.default_rng(11).uniform(-2, 2, size=(400, d))
     stack[1] = -0.0
     stack[2, ::2] = -0.0
     stack[3, 1:] = 0.0
@@ -289,6 +289,11 @@ def test_builtin_binders_match_the_textbook_gradient(name):
         g()
         _assert_bit_identical(out, textbook(row.copy()))
         _assert_bit_identical(pot.gradient(row), out)
+        # the component gradient on floats, as the straight-line RK4 loop
+        # calls it, gives the same bits and keeps to Python floats
+        partials = pot.component_gradient(d)(*row.tolist())
+        assert [type(v) for v in partials] == [float] * d
+        _assert_bit_identical(np.array(partials), out)
 
 
 def test_bind_rejects_a_buffer_of_the_wrong_shape():
