@@ -76,6 +76,13 @@ def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
         last_state=np.array(last_state, dtype=float))
 
 
+def _define(name: str, source: str, filename: str, **namespace):
+    """Compile ``source`` with ``namespace`` as its globals and return the
+    function ``name`` that it defines."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _straight_line_rk4(n: int):
     """The step loop of :func:`rk4_path` written out for a state of n floats.
@@ -116,9 +123,8 @@ def run(rates, y, t0, dt, n_steps, stride, times, samples, isfinite=isfinite):
             samples[j] = {ys},
             j += 1
 """
-    namespace = {"isfinite": math.isfinite, "diverged": _diverged}
-    exec(compile(source, f"<rk4 straight line n={n}>", "exec"), namespace)
-    return namespace["run"]
+    return _define("run", source, f"<rk4 straight line n={n}>",
+                   isfinite=math.isfinite, diverged=_diverged)
 
 
 def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1, rates=None):
@@ -423,7 +429,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
-    m, k1 = np.array(params.m), np.array(params.k1)
+    m, k1 = float(params.m), float(params.k1)
     neg_metric = -METRIC
     mul, div, sub = np.multiply, np.divide, np.subtract
 
@@ -432,6 +438,7 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
         xdot, pdot, qdot, pidot = (out[..., a:a + 4] for a in (0, 4, 8, 12))
         mq = np.empty_like(q)
         grad = None if potential is None else potential.bind(x, pdot)
+        c_m, c_k1 = np.array(m), np.array(k1)
 
         def f(tau):
             xdot[...] = q
@@ -440,15 +447,57 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
             else:
                 grad()
                 mul(neg_metric, pdot, pdot)
-            div(pi, k1, qdot)
-            sub(mul(m, q, mq), p, pidot)
+            div(pi, c_k1, qdot)
+            sub(mul(c_m, q, mq), p, pidot)
         return f
 
-    times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride)
+    if potential is None:
+        def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
+            return (q0, q1, q2, q3, 0.0, 0.0, 0.0, 0.0, r0 / k1, r1 / k1, r2 / k1, r3 / k1,
+                    m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
+    else:
+        partials = potential.component_gradient(4)
+
+        def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
+            g0, g1, g2, g3 = partials(x0, x1, x2, x3)
+            # mul(neg_metric, pdot, pdot) on floats
+            return (q0, q1, q2, q3, -1.0 * g0, 1.0 * g1, 1.0 * g2, 1.0 * g3,
+                    r0 / k1, r1 / k1, r2 / k1, r3 / k1,
+                    m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
+
+    times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride,
+                              rates=rates)
     blocks = samples.reshape(len(times), 4, 4)
     records = _hamilton_records(params, times, blocks, potential)
     return Trajectory(params=params, kind="hamilton", times=times,
                       blocks=blocks, records=records)
+
+
+@functools.cache
+def _general_n_rates(n: int):
+    """``make(neg_p, coeffs, scale)``, which returns the float form of
+    :func:`integrate_free_general_n`'s binder at order n >= 1.
+
+    The rates are the shifted stack y_4 .. y_{N-1}, N = 4(2n+1), then for
+    each component c the sum ``((neg_p[c] + coeffs[0] * y[4+c]) +
+    coeffs[1] * y[12+c] + ...) * scale``, written out term by term in the
+    binder's order.  It is compiled on first use and kept for each n.
+    """
+    size = 4 * (2 * n + 1)
+    ys = ", ".join(f"y{i}" for i in range(size))
+    acc = ", ".join(
+        "(" + " + ".join([f"p{c}"] + [f"c{i} * y{4 * (2 * i + 1) + c}" for i in range(n)])
+        + ") * scale" for c in range(4))
+    source = f"""
+def make(neg_p, coeffs, scale):
+    p0, p1, p2, p3 = neg_p
+    {", ".join(f"c{i}" for i in range(n))}, = coeffs
+
+    def rates(t, {ys}):
+        return {", ".join(f"y{i}" for i in range(4, size))}, {acc}
+    return rates
+"""
+    return _define("make", source, f"<general-n rates n={n}>")
 
 
 def integrate_free_general_n(params: ModelParams, x0: FourVector,
@@ -499,8 +548,9 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
             mul(acc, c_scale, acc)
         return f
 
+    rates = _general_n_rates(n)(neg_pc.tolist(), lower_coeffs, float(c_scale))
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
-    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride)
+    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride, rates=rates)
     blocks = samples.reshape(len(times), nblocks, 4)
     return Trajectory(params=params, kind="free_general", times=times,
                       blocks=blocks, momentum=p)

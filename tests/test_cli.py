@@ -294,9 +294,13 @@ def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, cap
 
 
 DIVERGENT_RUNS = {
-    # the free run takes the array loop, the nonrel run the straight-line one
+    # each single-state run takes the straight-line RK4 loop
     "free": lambda tmp_path: [str(short_free_scenario(tmp_path)), "--set", "integrator.dt=10",
                               "--set", "integrator.t_end=2000"],
+    "general_n": lambda tmp_path: [scenario_path("general_n2.json"),
+                                   "--set", f"output.path={tmp_path / 'out.csv'}",
+                                   "--set", "integrator.dt=10",
+                                   "--set", "integrator.t_end=1000"],
     "nonrel": lambda tmp_path: [scenario_path("nonrel_harmonic.json"),
                                 "--set", f"output.path={tmp_path / 'out.csv'}",
                                 "--set", "integrator.dt=10", "--set", "integrator.t_end=1000"],

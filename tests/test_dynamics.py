@@ -457,48 +457,68 @@ def test_integrate_nr_matches_the_textbook_closure(name):
         _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
 
 
-def _nr_derivative_forms(monkeypatch, pot):
-    """The binder and the float form that integrate_nr hands to rk4_path."""
+def _derivative_forms(monkeypatch, target, integrate):
+    """The binder and the float form that ``integrate()`` hands to the
+    rk4_path named by ``target``."""
     forms = {}
 
     def spy(deriv, y0, t0, dt, n_steps, stride, rates=None):
         forms.update(deriv=deriv, rates=rates)
         return rk4_path(deriv, y0, t0, dt, n_steps, stride, rates=rates)
 
-    monkeypatch.setattr("zitterkit.nonrel.rk4_path", spy)
-    integrate_nr(NR_STARTS[0], PARAMS, pot, 1e-3, 1e-3)
+    monkeypatch.setattr(target, spy)
+    integrate()
     return forms["deriv"], forms["rates"]
 
 
-@pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
-def test_nr_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
-    deriv, rates = _nr_derivative_forms(monkeypatch, NR_POTENTIALS[name])
+def _assert_stack_equals_straight_line_runs(deriv, rates, y0, t0):
+    """A stack y0 runs the array loop, each member the straight-line loop
+    (4 rates calls a step), and every member's samples are the same bits."""
     calls = []
 
     def counting_rates(*args):
         calls.append(1)
         return rates(*args)
 
-    y0 = np.array([_nr_state(s0) for s0 in NR_STARTS])
-    times, samples = rk4_path(deriv, y0, 0.25, 1e-3, 50, 3, rates=counting_rates)
-    assert samples.shape == (len(times), 2, 12)
+    times, samples = rk4_path(deriv, y0, t0, 1e-3, 50, 3, rates=counting_rates)
+    assert samples.shape == (len(times),) + y0.shape
     assert calls == []
-    for k in range(2):
-        times_k, samples_k = rk4_path(deriv, y0[k], 0.25, 1e-3, 50, 3, rates=counting_rates)
+    for k in range(len(y0)):
+        times_k, samples_k = rk4_path(deriv, y0[k], t0, 1e-3, 50, 3, rates=counting_rates)
         assert np.array_equal(times, times_k)
         _assert_bit_identical(samples[:, k], samples_k)
-    assert len(calls) == 2 * 4 * 50
+    assert len(calls) == len(y0) * 4 * 50
+
+
+def _nr_derivative_forms(monkeypatch, pot):
+    return _derivative_forms(monkeypatch, "zitterkit.nonrel.rk4_path",
+                             lambda: integrate_nr(NR_STARTS[0], PARAMS, pot, 1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
+def test_nr_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
+    deriv, rates = _nr_derivative_forms(monkeypatch, NR_POTENTIALS[name])
+    y0 = np.array([_nr_state(s0) for s0 in NR_STARTS])
+    _assert_stack_equals_straight_line_runs(deriv, rates, y0, 0.25)
+
+
+def _straight_line_divergence(deriv, rates, y0):
+    """The divergence of a run from y0 at dt=10, which the straight-line loop
+    on ``rates`` must report as the array loop on ``deriv`` does."""
+    with pytest.raises(IntegrationDiverged) as ref:
+        rk4_path(deriv, y0, 0.0, 10.0, 100, 1)
+    # no binder at all: only the straight-line loop can run
+    with pytest.raises(IntegrationDiverged) as got:
+        rk4_path(None, y0, 0.0, 10.0, 100, 1, rates=rates)
+    _assert_same_divergence(got.value, ref.value)
+    return got.value
 
 
 def test_integrate_nr_divergence_equals_the_array_loop(monkeypatch):
     deriv, rates = _nr_derivative_forms(monkeypatch, Potential3D.harmonic(1.0))
     y0 = _nr_state(KinState3D(t=0, x=[1, 0, 0], v=[0, 0, 0], a=[0, 0, 0], j=[0, 0, 0]))
-    with pytest.raises(IntegrationDiverged) as ref:
-        rk4_path(deriv, y0, 0.0, 10.0, 100, 1)
-    with pytest.raises(IntegrationDiverged) as got:
-        rk4_path(None, y0, 0.0, 10.0, 100, 1, rates=rates)
-    _assert_same_divergence(got.value, ref.value)
-    assert got.value.last_time == 950.0
+    got = _straight_line_divergence(deriv, rates, y0)
+    assert got.last_time == 950.0
 
 
 NEWTONIAN_POTENTIALS = {
@@ -530,20 +550,34 @@ def test_integrate_newtonian_matches_the_textbook_closure(name):
         assert s0 is not NR_STARTS[0] or np.signbit(samples[:, 2]).any()
 
 
+def _user_grad4(x):
+    return np.stack([0.6 * x[..., 0] + 0.1 * x[..., 1], 0.6 * x[..., 1] + 0.1 * x[..., 0],
+                     0.6 * x[..., 2], 0.6 * x[..., 3]], -1)
+
+
 HAMILTON_POTENTIALS = {
     "none": None,
     "linear": ScalarPotential.linear([0.0, 0.01, 0.0, 0.0]),
     "harmonic": ScalarPotential.harmonic_spatial(0.05),
+    "user_fn": ScalarPotential(_user_fn, label="user_fn"),
+    "user_grad": ScalarPotential(_user_fn, grad=_user_grad4, label="user_grad"),
 }
+
+
+def _hamilton_starts():
+    """The standard start with every zero entry at -0.0, and a boosted one
+    off the origin whose third axis is at rest at -0.0."""
+    standard = standard_solution().initial_phase_point().as_array()
+    standard[standard == 0.0] = -0.0
+    boosted = boosted_solution().initial_phase_point().as_array()
+    boosted[0:4] = [0.3, -0.2, 0.1, -0.0]
+    boosted[[7, 11, 15]] = -0.0
+    return [standard, boosted]
 
 
 @pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
 def test_integrate_hamilton_matches_the_textbook_closure(name):
     potential = HAMILTON_POTENTIALS[name]
-    y0 = standard_solution().initial_phase_point().as_array()
-    y0[y0 == 0.0] = -0.0
-    s0 = PhasePoint.from_array(y0, tau=0.5)
-    assert np.array_equal(np.signbit(s0.as_array()), np.signbit(y0))
     m, k1 = PARAMS.m, PARAMS.k1
     neg_metric = -METRIC
 
@@ -557,36 +591,113 @@ def test_integrate_hamilton_matches_the_textbook_closure(name):
         np.divide(y[12:16], k1, out=out[8:12])
         np.subtract(m * q, y[4:8], out=out[12:16])
 
-    traj = integrate_hamilton(s0, PARAMS, potential, 0.05, 1e-3, stride=4)
-    times, samples = _reference_rk4(_textbook(deriv), y0, 0.5, 1e-3, 50, 4)
-    assert np.array_equal(traj.times, times)
-    _assert_bit_identical(traj.blocks.reshape(len(times), 16), samples)
+    for y0 in _hamilton_starts():
+        s0 = PhasePoint.from_array(y0, tau=0.5)
+        assert np.array_equal(np.signbit(s0.as_array()), np.signbit(y0))
+        traj = integrate_hamilton(s0, PARAMS, potential, 0.05, 1e-3, stride=4)
+        times, samples = _reference_rk4(_textbook(deriv), y0, 0.5, 1e-3, 50, 4)
+        assert np.array_equal(traj.times, times)
+        _assert_bit_identical(traj.blocks.reshape(len(times), 16), samples)
+
+
+GENERAL_N_PARAMS = {
+    1: PARAMS,
+    2: ModelParams(m=1.0, n=2, k=(1.0, -1.25, 0.25)),
+    3: ModelParams(m=1.0, n=3, k=(1.0, -1.5, 0.5, -0.05)),
+}
+
+
+def _general_n_starts(n):
+    """Two (x0, stack) starts at order n, with -0.0 entries in every block.
+
+    In the first the third axis is at rest at -0.0 throughout; the second
+    moves off every axis.
+    """
+    def blocks(rows):
+        return [FourVector(*row) for row in rows[:2 * n + 1]]
+
+    resting = blocks([(1.0, 0.2, 0.15, -0.0), (-0.0, 0.0, -0.0, -0.0),
+                      (0.0, -0.2, -0.6, -0.0), (-0.0, -0.0, 0.0, -0.0),
+                      (0.0, 0.2, 2.4, -0.0), (-0.0, 0.1, -0.0, -0.0),
+                      (0.0, -0.3, 0.5, -0.0)])
+    moving = blocks([(1.1, -0.1, 0.3, 0.25), (0.05, -0.0, 0.2, -0.1),
+                     (-0.0, 0.3, -0.4, 0.1), (0.02, 0.1, -0.0, 0.3),
+                     (-0.1, -0.2, 0.6, -0.0), (0.0, 0.4, -0.1, 0.2),
+                     (0.1, -0.0, 0.3, -0.5)])
+    return [(FourVector(-0.0, 0.0, -0.0, -0.0), resting),
+            (FourVector(0.5, -0.25, -0.0, 0.125), moving)]
+
+
+def _general_n_state(n, x0, stack):
+    return np.concatenate([x0.components] + [v.components for v in stack[:2 * n]])
 
 
 def test_integrate_free_general_n_matches_the_textbook_closure():
-    params = ModelParams(m=1.0, n=2, k=(1.0, -1.25, 0.25))
-    # the third axis is at rest at -0.0 in every block
-    stack = [FourVector(1.0, 0.2, 0.15, -0.0), FourVector(-0.0, 0.0, -0.0, -0.0),
-             FourVector(0.0, -0.2, -0.6, -0.0), FourVector(-0.0, -0.0, 0.0, -0.0),
-             FourVector(0.0, 0.2, 2.4, -0.0)]
-    x0 = FourVector(-0.0, 0.0, -0.0, -0.0)
-    pc = canonical_momentum(params, stack).components
+    params = GENERAL_N_PARAMS[2]
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(2)]
     scale = (-1.0) ** 3 / params.k[2]
 
-    def deriv(tau, y, out):
-        out[0:16] = y[4:20]
-        acc = out[16:]
-        np.negative(pc, out=acc)
-        for i, ci in enumerate(lower_coeffs):
-            acc += ci * y[4 * (2 * i + 1):4 * (2 * i + 2)]
-        acc *= scale
+    for x0, stack in _general_n_starts(2):
+        pc = canonical_momentum(params, stack).components
 
-    traj = integrate_free_general_n(params, x0, stack, 0.1, 2e-3, stride=7)
-    y0 = np.concatenate([x0.components] + [v.components for v in stack[:4]])
-    times, samples = _reference_rk4(_textbook(deriv), y0, 0.0, 2e-3, 50, 7)
-    assert np.array_equal(traj.times, times)
-    _assert_bit_identical(traj.blocks.reshape(len(times), 20), samples)
+        def deriv(tau, y, out):
+            out[0:16] = y[4:20]
+            acc = out[16:]
+            np.negative(pc, out=acc)
+            for i, ci in enumerate(lower_coeffs):
+                acc += ci * y[4 * (2 * i + 1):4 * (2 * i + 2)]
+            acc *= scale
+
+        traj = integrate_free_general_n(params, x0, stack, 0.1, 2e-3, stride=7)
+        y0 = _general_n_state(2, x0, stack)
+        times, samples = _reference_rk4(_textbook(deriv), y0, 0.0, 2e-3, 50, 7)
+        assert np.array_equal(traj.times, times)
+        _assert_bit_identical(traj.blocks.reshape(len(times), 20), samples)
+
+
+def _hamilton_forms(monkeypatch, potential):
+    # k1 = -1/5.2 is no power of two, so pi / k1 and pi * (1 / k1) differ
+    s0 = standard_solution().initial_phase_point()
+    return _derivative_forms(monkeypatch, "zitterkit.dynamics.rk4_path",
+                             lambda: integrate_hamilton(s0, ModelParams(m=1.3), potential,
+                                                        1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
+def test_hamilton_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
+    deriv, rates = _hamilton_forms(monkeypatch, HAMILTON_POTENTIALS[name])
+    _assert_stack_equals_straight_line_runs(deriv, rates, np.array(_hamilton_starts()), 0.5)
+
+
+def _general_n_forms(monkeypatch, n):
+    x0, stack = _general_n_starts(n)[0]
+    return _derivative_forms(monkeypatch, "zitterkit.dynamics.rk4_path",
+                             lambda: integrate_free_general_n(GENERAL_N_PARAMS[n], x0, stack,
+                                                              1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("n", sorted(GENERAL_N_PARAMS))
+def test_general_n_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, n):
+    deriv, rates = _general_n_forms(monkeypatch, n)
+    y0 = np.array([_general_n_state(n, *start) for start in _general_n_starts(n)])
+    assert y0.shape == (2, 4 * (2 * n + 1))
+    _assert_stack_equals_straight_line_runs(deriv, rates, y0, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
+def test_integrate_hamilton_divergence_equals_the_array_loop(monkeypatch, name):
+    deriv, rates = _hamilton_forms(monkeypatch, HAMILTON_POTENTIALS[name])
+    y0 = standard_solution().initial_phase_point().as_array()
+    got = _straight_line_divergence(deriv, rates, y0)
+    assert got.nonfinite
+
+
+@pytest.mark.parametrize("n", sorted(GENERAL_N_PARAMS))
+def test_general_n_divergence_equals_the_array_loop(monkeypatch, n):
+    deriv, rates = _general_n_forms(monkeypatch, n)
+    y0 = _general_n_state(n, *_general_n_starts(n)[1])
+    got = _straight_line_divergence(deriv, rates, y0)
+    assert got.nonfinite
 
 
 def test_forced_run_conserves_energy():
