@@ -56,15 +56,19 @@ class IntegrationDiverged(RuntimeError):
         self.last_state = last_state
 
 
+def _require_positive(name: str, value: float):
+    """The one check on an integrator's time arguments: finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps of size dt that reach t_end, at least one.
 
-    Raises ValueError unless both t_end and dt are positive.
+    Raises ValueError unless both t_end and dt are positive and finite.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require_positive("t_end", t_end)
+    _require_positive("dt", dt)
     return max(1, int(round(t_end / dt)))
 
 
@@ -127,30 +131,37 @@ def run(rates, y, t0, dt, n_steps, stride, times, samples, isfinite=isfinite):
                    isfinite=math.isfinite, diverged=_diverged)
 
 
-def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1, rates=None):
-    """Classical fixed-step RK4 over a state array of any shape.
+def _columns_stage(rates, y, out):
+    """``f(t)``, which writes ``rates(t, *columns of y)`` into the columns of
+    ``out``; a constant rate such as 0.0 broadcasts over its column, and a
+    wrong number of rates raises ValueError, as it does in the kernel."""
+    columns = [y[..., c] for c in range(y.shape[-1])]
+    targets = [out[..., c] for c in range(y.shape[-1])]
 
-    ``deriv(y, out)`` binds a state buffer ``y`` to a derivative buffer
-    ``out`` of the same shape and returns ``f``; ``f(t)`` writes the time
-    derivative of the current contents of ``y`` at time ``t`` into ``out``
-    and must write every element of it.  The driver binds its five buffer
-    pairs once, before the first step, so a binder can slice its views and
-    allocate its scratch there; ``y`` and ``out`` never overlap.  Returns
-    ``(times, samples)`` where samples are recorded every ``stride`` steps
-    plus the final step.  The state update uses compensated summation so
-    that long runs stay truncation-limited rather than roundoff-limited.
-    Raises :class:`IntegrationDiverged` if the state stops being finite.
+    def f(t):
+        for target, value in zip(targets, rates(t, *columns), strict=True):
+            target[...] = value
+    return f
 
-    ``rates``, if given, is the same derivative as a function of floats:
-    ``rates(t, y_0, ..., y_{n-1})`` returns the n rates.  For a 1-D state
-    the driver then runs a straight-line loop on n Python floats instead of
-    the array loop, with the same arithmetic in the same order, so the
-    times, samples and errors are the same bits: CPython floats and numpy's
-    elementwise loops both round IEEE doubles, with no fused multiply-add.
-    A stacked state always runs the array loop.
+
+def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
+    """Classical fixed-step RK4 over a state of n components.
+
+    ``rates(t, y_0, ..., y_{n-1})`` returns the n time derivatives at time
+    ``t``.  A 1-D state runs a straight-line loop on n Python floats.  A
+    stacked state of shape (..., n) runs an array loop that calls ``rates``
+    once a stage on the column views ``y[..., c]``; the float form must
+    therefore use elementwise arithmetic only, which gives the same bits on
+    floats and on arrays, since CPython floats and numpy's elementwise
+    loops both round IEEE doubles with no fused multiply-add.  Each member
+    of a stack then gets the same times and samples as its own run.
+    Returns ``(times, samples)`` where samples are recorded every
+    ``stride`` steps plus the final step.  The state update uses
+    compensated summation so that long runs stay truncation-limited rather
+    than roundoff-limited.  Raises :class:`IntegrationDiverged` if the
+    state stops being finite.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require_positive("dt", dt)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n_steps < 0:
@@ -161,7 +172,7 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1, rat
     samples = np.empty((n_samples,) + y.shape)
     times[0] = t0
     samples[0] = y
-    if rates is not None and y.ndim == 1:
+    if y.ndim == 1:
         with np.errstate(over="ignore", invalid="ignore"):
             _straight_line_rk4(y.size)(rates, y.tolist(), t0, dt, n_steps, stride,
                                        times, samples)
@@ -174,8 +185,8 @@ def rk4_path(deriv, y0, t0: float, dt: float, n_steps: int, stride: int = 1, rat
     half = 0.5 * dt
     # the same constants as 0-d arrays, so no ufunc call converts a float
     c_half, c_dt, c_sixth, c_two = (np.array(c) for c in (half, dt, dt / 6.0, 2.0))
-    f1, f1_next = deriv(y, k1), deriv(ynew, k1)
-    f2, f3, f4 = deriv(stage, k2), deriv(stage, k3), deriv(stage, k4)
+    f1, f1_next = _columns_stage(rates, y, k1), _columns_stage(rates, ynew, k1)
+    f2, f3, f4 = (_columns_stage(rates, stage, k) for k in (k2, k3, k4))
     add, mul, sub, isfinite = np.add, np.multiply, np.subtract, math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
@@ -430,43 +441,22 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
     m, k1 = float(params.m), float(params.k1)
-    neg_metric = -METRIC
-    mul, div, sub = np.multiply, np.divide, np.subtract
-
-    def deriv(y, out):
-        x, p, q, pi = (y[..., a:a + 4] for a in (0, 4, 8, 12))
-        xdot, pdot, qdot, pidot = (out[..., a:a + 4] for a in (0, 4, 8, 12))
-        mq = np.empty_like(q)
-        grad = None if potential is None else potential.bind(x, pdot)
-        c_m, c_k1 = np.array(m), np.array(k1)
-
-        def f(tau):
-            xdot[...] = q
-            if grad is None:
-                pdot[...] = 0.0
-            else:
-                grad()
-                mul(neg_metric, pdot, pdot)
-            div(pi, c_k1, qdot)
-            sub(mul(c_m, q, mq), p, pidot)
-        return f
 
     if potential is None:
         def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
             return (q0, q1, q2, q3, 0.0, 0.0, 0.0, 0.0, r0 / k1, r1 / k1, r2 / k1, r3 / k1,
                     m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
     else:
-        partials = potential.component_gradient(4)
+        partials = potential.partials
 
         def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
             g0, g1, g2, g3 = partials(x0, x1, x2, x3)
-            # mul(neg_metric, pdot, pdot) on floats
+            # -METRIC times the lower-index partials, one component at a time
             return (q0, q1, q2, q3, -1.0 * g0, 1.0 * g1, 1.0 * g2, 1.0 * g3,
                     r0 / k1, r1 / k1, r2 / k1, r3 / k1,
                     m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
 
-    times, samples = rk4_path(deriv, s0.as_array(), s0.tau, dt, n_steps, stride,
-                              rates=rates)
+    times, samples = rk4_path(rates, s0.as_array(), s0.tau, dt, n_steps, stride)
     blocks = samples.reshape(len(times), 4, 4)
     records = _hamilton_records(params, times, blocks, potential)
     return Trajectory(params=params, kind="hamilton", times=times,
@@ -475,13 +465,13 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
 
 @functools.cache
 def _general_n_rates(n: int):
-    """``make(neg_p, coeffs, scale)``, which returns the float form of
-    :func:`integrate_free_general_n`'s binder at order n >= 1.
+    """``make(neg_p, coeffs, scale)``, which returns the rates of
+    :func:`integrate_free_general_n` at order n >= 1.
 
     The rates are the shifted stack y_4 .. y_{N-1}, N = 4(2n+1), then for
     each component c the sum ``((neg_p[c] + coeffs[0] * y[4+c]) +
-    coeffs[1] * y[12+c] + ...) * scale``, written out term by term in the
-    binder's order.  It is compiled on first use and kept for each n.
+    coeffs[1] * y[12+c] + ...) * scale``, written out term by term.  It is
+    compiled on first use and kept for each n.
     """
     size = 4 * (2 * n + 1)
     ys = ", ".join(f"y{i}" for i in range(size))
@@ -526,31 +516,12 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
         return Trajectory(params=params, kind="free_general", times=times,
                           blocks=blocks, momentum=p)
 
-    c_scale = np.array((-1.0) ** (n + 1) / params.k[n])
+    scale = (-1.0) ** (n + 1) / params.k[n]
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
-    neg_pc = -p.components
     nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
-    mul, add = np.multiply, np.add
-
-    def deriv(y, out):
-        shifted, rates = y[..., 4:4 * nblocks], out[..., :4 * (nblocks - 1)]
-        acc = out[..., 4 * (nblocks - 1):]
-        terms = [(np.array(ci), y[..., 4 * (2 * i + 1):4 * (2 * i + 2)])
-                 for i, ci in enumerate(lower_coeffs)]
-        tmp = np.empty_like(acc)
-
-        def f(tau):
-            rates[...] = shifted  # xdot = v, shift the stack
-            total = neg_pc  # -p, then + c_i v^(2i) term by term
-            for ci, v in terms:
-                add(total, mul(ci, v, tmp), acc)
-                total = acc
-            mul(acc, c_scale, acc)
-        return f
-
-    rates = _general_n_rates(n)(neg_pc.tolist(), lower_coeffs, float(c_scale))
+    rates = _general_n_rates(n)((-p.components).tolist(), lower_coeffs, scale)
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
-    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride, rates=rates)
+    times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
     blocks = samples.reshape(len(times), nblocks, 4)
     return Trajectory(params=params, kind="free_general", times=times,
                       blocks=blocks, momentum=p)

@@ -51,14 +51,15 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
 class Potential:
     """Scalar potential U on points of shape (..., D).
 
-    ``fn`` returns values of shape (...).  The plain partials dU/dx^i come
-    from ``partials``, from ``grad`` or, given neither, from one batched
-    :func:`central_gradient` call per evaluation (see :meth:`bind`).  There
-    is no per-point fallback: a result of the wrong shape raises ValueError
-    naming ``label``.  ``partials(x_1, ..., x_D)`` takes the D coordinates
-    separately and returns the D partials; it must give the same bits on
+    ``fn`` returns values of shape (...).  ``partials(x_1, ..., x_D)`` takes
+    the D coordinates separately, as floats or as arrays of one shape, and
+    returns the D plain partials dU/dx^i; it must give the same bits on
     floats as on arrays of them, which is how every built-in defines its
-    gradient once.
+    gradient once.  A potential given by ``fn`` alone or with ``grad`` gets
+    a ``partials`` that stacks the coordinates into points (..., D) and
+    runs ``grad`` or, without it, one batched :func:`central_gradient`
+    call.  There is no per-point fallback: a result of the wrong shape
+    raises ValueError naming ``label``.
     """
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
@@ -68,71 +69,22 @@ class Potential:
             raise ValueError(f"potential {label!r}: give grad or partials, not both")
         self._fn = fn
         self._grad = grad
-        self.partials = partials
+        self.partials = self._stacked_partials if partials is None else partials
         self.label = label
         self.step = float(step)
 
-    def bind(self, x, out):
-        """Bind points ``x`` (..., D) to a buffer ``out`` of the same shape
-        and return ``g``; ``g()`` writes the partials at the current
-        contents of ``x`` into every element of ``out``.
-
-        The shapes are checked here, once.  A built-in's ``partials`` is
-        called on the column views ``x[..., i]`` and each of the D values
-        it returns is written into ``out[..., i]``.  A user ``grad`` is
-        wrapped in a ``g`` that checks the shape of every result it returns.
-        """
-        if np.shape(out) != np.shape(x):
-            raise ValueError(f"potential {self.label!r} cannot bind a gradient buffer of "
-                             f"shape {np.shape(out)} to points of shape {np.shape(x)}")
-        if self.partials is not None:
-            return self._partials_binder(x, out)
-        if self._grad is not None:
-            return self._grad_binder(x, out)
-        return self._central_binder(x, out)
-
-    def _partials_binder(self, x, out):
-        partials, d = self.partials, x.shape[-1]
-        columns = [x[..., i] for i in range(d)]
-        targets = [out[..., i] for i in range(d)]
-
-        def g():
-            for target, value in zip(targets, partials(*columns)):
-                target[...] = value
-        return g
-
-    def _grad_binder(self, x, out):
-        def g():
-            result = np.asarray(self._grad(x), dtype=float)
-            if result.shape != x.shape:
+    def _stacked_partials(self, *coords):
+        """The partials from ``grad`` or central differences: Python floats
+        for float coordinates, columns for array ones."""
+        x = np.stack(coords, axis=-1)
+        if self._grad is None:
+            g = central_gradient(self.value_many, x, self.step)
+        else:
+            g = np.asarray(self._grad(x), dtype=float)
+            if g.shape != x.shape:
                 raise ValueError(f"gradient of potential {self.label!r} returned shape "
-                                 f"{result.shape} for points of shape {x.shape}")
-            out[...] = result
-        return g
-
-    def _central_binder(self, x, out):
-        def g():
-            out[...] = central_gradient(self.value_many, x, self.step)
-        return g
-
-    def component_gradient(self, d: int) -> Callable:
-        """The partials as a function of the d coordinates of one point,
-        given and returned as floats, for the straight-line RK4 kernel.
-
-        For a built-in this is ``partials`` itself.  Otherwise it is a
-        bridge that packs the coordinates into a (d,) buffer, runs the
-        bound gradient, checks included, and returns its d values.
-        """
-        if self.partials is not None:
-            return self.partials
-        x, out = np.empty(d), np.empty(d)
-        g = self.bind(x, out)
-
-        def bridge(*coords):
-            x[...] = coords
-            g()
-            return tuple(out.tolist())
-        return bridge
+                                 f"{g.shape} for points of shape {x.shape}")
+        return tuple(g.tolist()) if g.ndim == 1 else tuple(np.moveaxis(g, -1, 0))
 
     def value(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -153,7 +105,8 @@ class Potential:
         """Plain partials dU/dx^i at one point (D,) or many (..., D)."""
         xs = np.asarray(xs, dtype=float)
         out = np.empty(xs.shape)
-        self.bind(xs, out)()
+        for i, value in enumerate(self.partials(*np.moveaxis(xs, -1, 0))):
+            out[..., i] = value
         return out
 
     @classmethod

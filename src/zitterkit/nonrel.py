@@ -224,31 +224,16 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     """
     n_steps = step_count(t_end, dt)
     neg_m, inv_lam = -float(params.m), 1.0 / zbw_coefficient(params)
-    mul, sub = np.multiply, np.subtract
-
-    def deriv(y, out):
-        x, xva, a = y[..., 0:3], y[..., 3:12], y[..., 6:9]
-        xvadot, jdot = out[..., 0:9], out[..., 9:12]
-        g, ma = np.empty_like(a), np.empty_like(a)
-        grad = pot.bind(x, g)
-        c_neg_m, c_inv_lam = np.array(neg_m), np.array(inv_lam)
-
-        def f(t):
-            xvadot[...] = xva
-            grad()
-            # (-m a) - g is (-g) - m a bit for bit, signed zeros included
-            mul(c_inv_lam, sub(mul(c_neg_m, a, ma), g, ma), jdot)
-        return f
-
-    partials = pot.component_gradient(3)
+    partials = pot.partials
 
     def rates(t, x1, x2, x3, v1, v2, v3, a1, a2, a3, j1, j2, j3):
         g1, g2, g3 = partials(x1, x2, x3)
+        # (-m a) - g is (-g) - m a bit for bit, signed zeros included
         return (v1, v2, v3, a1, a2, a3, j1, j2, j3, inv_lam * (neg_m * a1 - g1),
                 inv_lam * (neg_m * a2 - g2), inv_lam * (neg_m * a3 - g3))
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
-    times, samples = rk4_path(deriv, y0, s0.t, dt, n_steps, stride, rates=rates)
+    times, samples = rk4_path(rates, y0, s0.t, dt, n_steps, stride)
     return _make_traj(params, pot, times, samples[:, 0:3], samples[:, 3:6],
                       samples[:, 6:9], samples[:, 9:12])
 
@@ -263,29 +248,15 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
-    m, neg_m, div = np.array(params.m), -float(params.m), np.divide
-
-    def deriv(y, out):
-        x, v = y[..., 0:3], y[..., 3:6]
-        xdot, vdot = out[..., 0:3], out[..., 3:6]
-        g = np.empty_like(v)
-        grad = pot.bind(x, g)
-        c_neg_m = np.array(neg_m)
-
-        def f(t):
-            xdot[...] = v
-            grad()
-            div(g, c_neg_m, vdot)  # (-g) / m
-        return f
-
-    partials = pot.component_gradient(3)
+    m, neg_m = np.array(params.m), -float(params.m)
+    partials = pot.partials
 
     def rates(t, x1, x2, x3, v1, v2, v3):
         g1, g2, g3 = partials(x1, x2, x3)
-        return v1, v2, v3, g1 / neg_m, g2 / neg_m, g3 / neg_m
+        return v1, v2, v3, g1 / neg_m, g2 / neg_m, g3 / neg_m  # (-g) / m
 
     y0 = np.concatenate([x0, v0])
-    times, samples = rk4_path(deriv, y0, 0.0, dt, n_steps, stride, rates=rates)
+    times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
     xs = samples[:, 0:3]
     accs = -pot.gradient(xs) / m
     jerks = np.zeros_like(xs)

@@ -281,6 +281,20 @@ def test_precision_env_out_of_range_exits_2(tmp_path, monkeypatch, capsys, preci
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("field", ["t_end", "dt"])
+def test_non_finite_integrator_value_exits_2(tmp_path, capsys, field):
+    path = short_free_scenario(tmp_path)
+    scn = json.loads(path.read_text())
+    scn["integrator"][field] = math.inf
+    path.write_text(json.dumps(scn))
+    assert f'"{field}": Infinity' in path.read_text()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be positive and finite, got inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("integration started with an invalid precision")

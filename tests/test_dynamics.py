@@ -171,17 +171,12 @@ def test_integrate_hamilton_divergence_reports_last_time():
     assert str(err.value) == "state became non-finite at t=810"
 
 
-def _reference_rk4(deriv, y0, t0, dt, n_steps, stride):
-    """Allocating RK4 loop with the same arithmetic, sample by sample."""
+def _reference_rk4(f, y0, t0, dt, n_steps, stride):
+    """Allocating RK4 loop with the same arithmetic, sample by sample;
+    ``f(t, y)`` returns the derivative array of the state array y."""
     y = np.array(y0, dtype=float)
     comp = np.zeros_like(y)
     times, samples = [t0], [y.copy()]
-
-    def f(t, state):
-        out = np.empty_like(state)
-        deriv(state, out)(t)
-        return out
-
     for i in range(1, n_steps + 1):
         t = t0 + (i - 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
@@ -202,15 +197,21 @@ def _reference_rk4(deriv, y0, t0, dt, n_steps, stride):
     return np.asarray(times), np.asarray(samples)
 
 
-def _anharmonic(y, out):
-    # x'' = -x - x^3 + t per component; written with y[..., a:b] so that it
-    # serves a stack of states as well as a single one
-    x = y[..., 0:2]
-
-    def f(t):
-        out[..., 0:2] = y[..., 2:4]
-        out[..., 2:4] = t - x - x * x * x
+def _on_columns(rates):
+    """``f(t, y)`` for :func:`_reference_rk4` that evaluates the float form
+    ``rates`` on the columns of y."""
+    def f(t, y):
+        out = np.empty_like(y)
+        for c, value in enumerate(rates(t, *np.moveaxis(y, -1, 0))):
+            out[..., c] = value
+        return out
     return f
+
+
+def _anharmonic(t, x0, x1, v0, v1):
+    # x'' = -x - x^3 + t per component; elementwise, so that it serves a
+    # stack of states as well as a single one
+    return v0, v1, t - x0 - x0 * x0 * x0, t - x1 - x1 * x1 * x1
 
 
 @pytest.mark.parametrize("n_steps, stride", [
@@ -231,7 +232,8 @@ def test_rk4_path_samples_on_the_stride_grid(n_steps, stride):
         idx.append(n_steps)
     assert times.tolist() == [t0 + i * dt for i in idx]
     assert samples.shape == (len(idx), 4)
-    ref_times, ref_samples = _reference_rk4(_anharmonic, y0, t0, dt, n_steps, stride)
+    ref_times, ref_samples = _reference_rk4(_on_columns(_anharmonic), y0, t0, dt,
+                                            n_steps, stride)
     assert np.array_equal(times, ref_times)
     assert np.array_equal(samples, ref_samples)
 
@@ -239,6 +241,15 @@ def test_rk4_path_samples_on_the_stride_grid(n_steps, stride):
 def test_rk4_path_rejects_negative_step_count():
     with pytest.raises(ValueError, match="n_steps"):
         rk4_path(_anharmonic, np.zeros(4), 0.0, 0.1, -1, 1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4)])
+def test_rk4_path_rejects_rates_of_the_wrong_length(shape):
+    def three_rates(t, x0, x1, v0, v1):
+        return v0, v1, t - x0
+
+    with pytest.raises(ValueError):
+        rk4_path(three_rates, np.zeros(shape), 0.0, 0.1, 3, 1)
 
 
 def test_rk4_path_stacked_states_match_separate_runs():
@@ -252,62 +263,61 @@ def test_rk4_path_stacked_states_match_separate_runs():
 
 
 def _injecting(value, t_bad, where):
-    """Binder for y' = -y/10 that writes ``value`` into ``out[where]`` from
+    """Float form of y' = -y/10 that sets the rate of component ``where``,
+    or of ``where = (member, component)`` in a stack, to ``value`` from
     time ``t_bad`` on."""
-    def deriv(y, out):
-        def f(t):
-            np.multiply(-0.1, y, out=out)
-            if t >= t_bad:
+    def rates(t, *y):
+        out = [-0.1 * c for c in y]
+        if t >= t_bad:
+            if isinstance(where, tuple):
+                member, c = where
+                out[c][member] = value
+            else:
                 out[where] = value
-        return f
-    return deriv
+        return out
+    return rates
 
 
-def _divergence(deriv, y0):
+def _divergence(rates, y0):
     with pytest.raises(IntegrationDiverged) as err:
-        rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
+        rk4_path(rates, y0, 0.0, 0.1, 20, 3)
     return err.value.last_time, str(err.value)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_rk4_path_raises_on_the_step_a_component_turns_non_finite(value):
     y0 = np.array([1.0, -0.5, 0.0, 0.3])
-    deriv = _injecting(value, 0.42, 1)  # first reached by step 5's middle stages
-    got = _divergence(deriv, y0)
+    rates = _injecting(value, 0.42, 1)  # first reached by step 5's middle stages
+    got = _divergence(rates, y0)
     with pytest.raises(IntegrationDiverged) as ref:
-        _reference_rk4(deriv, y0, 0.0, 0.1, 20, 3)
+        _reference_rk4(_on_columns(rates), y0, 0.0, 0.1, 20, 3)
     assert got == (ref.value.last_time, str(ref.value))
     assert got == (0.4, "state became non-finite at t=0.5")
 
 
-def _injecting_rates(value, t_bad, where):
-    """The float form of :func:`_injecting`."""
-    def rates(t, *y):
-        out = [-0.1 * c for c in y]
-        if t >= t_bad:
-            out[where] = value
-        return out
-    return rates
-
-
-def _assert_same_divergence(got, ref):
+def _straight_line_divergence(rates, y0, dt=10.0, n_steps=100, stride=1):
+    """The divergence of a straight-line run from the 1-D state y0, which
+    must match, field by field, that of the array loop on the one-member
+    stack y0[None]."""
+    with pytest.raises(IntegrationDiverged) as ref:
+        rk4_path(rates, y0[None], 0.0, dt, n_steps, stride)
+    with pytest.raises(IntegrationDiverged) as got:
+        rk4_path(rates, y0, 0.0, dt, n_steps, stride)
+    got, ref = got.value, ref.value
     assert str(got) == str(ref)
     assert got.last_time == ref.last_time
-    assert got.nonfinite == ref.nonfinite
-    _assert_bit_identical(got.last_state, ref.last_state)
+    assert {index[0] for index in ref.nonfinite} == {0}
+    assert got.nonfinite == tuple(index[1:] for index in ref.nonfinite)
+    _assert_bit_identical(got.last_state, ref.last_state[0])
+    return got
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_straight_line_divergence_equals_the_array_loop(value):
     y0 = np.array([1.0, -0.5, 0.0, 0.3])
-    with pytest.raises(IntegrationDiverged) as ref:
-        rk4_path(_injecting(value, 0.42, 1), y0, 0.0, 0.1, 20, 3)
-    # no binder at all: only the straight-line loop can run
-    with pytest.raises(IntegrationDiverged) as got:
-        rk4_path(None, y0, 0.0, 0.1, 20, 3, rates=_injecting_rates(value, 0.42, 1))
-    _assert_same_divergence(got.value, ref.value)
-    assert got.value.nonfinite == ((1,),)
-    assert (got.value.last_time, str(got.value)) == (0.4, "state became non-finite at t=0.5")
+    got = _straight_line_divergence(_injecting(value, 0.42, 1), y0, 0.1, 20, 3)
+    assert got.nonfinite == ((1,),)
+    assert (got.last_time, str(got)) == (0.4, "state became non-finite at t=0.5")
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -316,19 +326,19 @@ def test_rk4_path_raises_when_one_stacked_member_diverges(value):
     got = _divergence(_injecting(value, 0.42, (1, 1)), y0)
     assert got == _divergence(_injecting(value, 0.42, 1), y0[1])
     with pytest.raises(IntegrationDiverged) as ref:
-        _reference_rk4(_injecting(value, 0.42, (1, 1)), y0, 0.0, 0.1, 20, 3)
+        _reference_rk4(_on_columns(_injecting(value, 0.42, (1, 1))), y0, 0.0, 0.1, 20, 3)
     assert got == (ref.value.last_time, str(ref.value))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_divergence_names_the_member_and_keeps_the_last_finite_state(value):
     y0 = np.array([[1.0, -0.5, 0.0, 0.3], [0.2, 0.7, -1.1, 0.0]])
-    deriv = _injecting(value, 0.42, (1, 1))
+    rates = _injecting(value, 0.42, (1, 1))
     with pytest.raises(IntegrationDiverged) as err:
-        rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
+        rk4_path(rates, y0, 0.0, 0.1, 20, 3)
     assert err.value.nonfinite == ((1, 1),)
     assert err.value.last_time == 0.4
-    _, ref = _reference_rk4(deriv, y0, 0.0, 0.1, 4, 1)
+    _, ref = _reference_rk4(_on_columns(rates), y0, 0.0, 0.1, 4, 1)
     assert np.array_equal(err.value.last_state, ref[-1])
 
 
@@ -346,39 +356,24 @@ def test_rk4_path_finite_check_does_not_overflow():
     with np.errstate(over="ignore"):
         assert not np.isfinite(y0.sum())
         assert not np.isfinite(np.dot(y0, y0))
-    deriv = _injecting(0.0, np.inf, 0)  # y' = -y/10, never injects
-    times, samples = rk4_path(deriv, y0, 0.0, 0.1, 20, 3)
-    ref_times, ref_samples = _reference_rk4(deriv, y0, 0.0, 0.1, 20, 3)
-    assert np.array_equal(times, ref_times)
-    assert np.array_equal(samples, ref_samples)
-    assert np.isfinite(samples).all()
-
-
-@pytest.mark.parametrize("n_steps", [0, 1, 7, 100])
-def test_rk4_path_binds_five_buffer_pairs_once(n_steps):
-    bound = []
-
-    def counting(y, out):
-        bound.append((y, out))
-        return _anharmonic(y, out)
-
-    rk4_path(counting, np.array([1.0, -0.5, 0.0, 0.3]), 0.0, 0.01, n_steps, 3)
-    assert len(bound) == 5
+    rates = _injecting(0.0, np.inf, 0)  # y' = -y/10, never injects
+    ref_times, ref_samples = _reference_rk4(_on_columns(rates), y0, 0.0, 0.1, 20, 3)
+    # the straight-line loop on the state and the array loop on a stack of it
+    for state in (y0, y0[None]):
+        times, samples = rk4_path(rates, state, 0.0, 0.1, 20, 3)
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(samples.reshape(ref_samples.shape), ref_samples)
+        assert np.isfinite(samples).all()
 
 
 def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch):
-    binds, gradients, partials_calls = [], [], []
-    bind, gradient = Potential3D.bind, Potential3D.gradient
-
-    def counting_bind(self, x, out):
-        binds.append(1)
-        return bind(self, x, out)
+    gradients, partials_calls = [], []
+    gradient = Potential3D.gradient
 
     def counting_gradient(self, xs):
         gradients.append(1)
         return gradient(self, xs)
 
-    monkeypatch.setattr(Potential3D, "bind", counting_bind)
     monkeypatch.setattr(Potential3D, "gradient", counting_gradient)
     pot = Potential3D.harmonic(1.0)
     partials = pot.partials
@@ -391,17 +386,18 @@ def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch
     s0 = KinState3D(t=0.0, x=[1.0, 0, 0], v=[0, 0.5, 0], a=[0, 0, 0], j=[0, 0, 0])
     traj = integrate_nr(s0, PARAMS, pot, 0.137, 1e-3)
     assert len(traj) == 138
-    assert len(binds) == 0
     assert len(gradients) == 0
     assert len(partials_calls) == 4 * 137
 
 
 def _textbook(deriv):
-    """Binder for a closure ``deriv(t, y, out)`` that slices on every call,
-    as the integrators' closures were written before they bound views."""
-    def bind(y, out):
-        return lambda t: deriv(t, y, out)
-    return bind
+    """``f(t, y)`` for :func:`_reference_rk4` from a closure
+    ``deriv(t, y, out)`` that slices the state array on every call."""
+    def f(t, y):
+        out = np.empty_like(y)
+        deriv(t, y, out)
+        return out
+    return f
 
 
 def _assert_bit_identical(got, ref):
@@ -457,68 +453,75 @@ def test_integrate_nr_matches_the_textbook_closure(name):
         _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
 
 
-def _derivative_forms(monkeypatch, target, integrate):
-    """The binder and the float form that ``integrate()`` hands to the
-    rk4_path named by ``target``."""
-    forms = {}
+def _rates_of(monkeypatch, target, integrate):
+    """The float form that ``integrate()`` hands to the rk4_path named by
+    ``target``."""
+    forms = []
 
-    def spy(deriv, y0, t0, dt, n_steps, stride, rates=None):
-        forms.update(deriv=deriv, rates=rates)
-        return rk4_path(deriv, y0, t0, dt, n_steps, stride, rates=rates)
+    def spy(rates, y0, t0, dt, n_steps, stride):
+        forms.append(rates)
+        return rk4_path(rates, y0, t0, dt, n_steps, stride)
 
     monkeypatch.setattr(target, spy)
     integrate()
-    return forms["deriv"], forms["rates"]
+    return forms[0]
 
 
-def _assert_stack_equals_straight_line_runs(deriv, rates, y0, t0):
-    """A stack y0 runs the array loop, each member the straight-line loop
-    (4 rates calls a step), and every member's samples are the same bits."""
+def _assert_stack_equals_straight_line_runs(rates, y0, t0):
+    """A stack y0 runs the array loop, which calls ``rates`` on columns,
+    each member the straight-line loop, which calls it on floats, 4 times a
+    step each; every member's samples are the same bits."""
     calls = []
 
-    def counting_rates(*args):
-        calls.append(1)
-        return rates(*args)
+    def counting_rates(t, *y):
+        calls.append(type(y[0]))
+        return rates(t, *y)
 
-    times, samples = rk4_path(deriv, y0, t0, 1e-3, 50, 3, rates=counting_rates)
+    times, samples = rk4_path(counting_rates, y0, t0, 1e-3, 50, 3)
     assert samples.shape == (len(times),) + y0.shape
-    assert calls == []
+    assert calls == [np.ndarray] * 4 * 50
     for k in range(len(y0)):
-        times_k, samples_k = rk4_path(deriv, y0[k], t0, 1e-3, 50, 3, rates=counting_rates)
+        times_k, samples_k = rk4_path(counting_rates, y0[k], t0, 1e-3, 50, 3)
         assert np.array_equal(times, times_k)
         _assert_bit_identical(samples[:, k], samples_k)
-    assert len(calls) == len(y0) * 4 * 50
+    assert calls[4 * 50:] == [float] * len(y0) * 4 * 50
 
 
-def _nr_derivative_forms(monkeypatch, pot):
-    return _derivative_forms(monkeypatch, "zitterkit.nonrel.rk4_path",
-                             lambda: integrate_nr(NR_STARTS[0], PARAMS, pot, 1e-3, 1e-3))
+def _nr_rates(monkeypatch, pot):
+    return _rates_of(monkeypatch, "zitterkit.nonrel.rk4_path",
+                     lambda: integrate_nr(NR_STARTS[0], PARAMS, pot, 1e-3, 1e-3))
+
+
+def _newtonian_rates(monkeypatch, pot):
+    return _rates_of(monkeypatch, "zitterkit.nonrel.rk4_path",
+                     lambda: integrate_newtonian([0, 0, 0], [0, 0, 0], PARAMS, pot, 1e-3, 1e-3))
 
 
 @pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
 def test_nr_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
-    deriv, rates = _nr_derivative_forms(monkeypatch, NR_POTENTIALS[name])
+    rates = _nr_rates(monkeypatch, NR_POTENTIALS[name])
     y0 = np.array([_nr_state(s0) for s0 in NR_STARTS])
-    _assert_stack_equals_straight_line_runs(deriv, rates, y0, 0.25)
+    _assert_stack_equals_straight_line_runs(rates, y0, 0.25)
 
 
-def _straight_line_divergence(deriv, rates, y0):
-    """The divergence of a run from y0 at dt=10, which the straight-line loop
-    on ``rates`` must report as the array loop on ``deriv`` does."""
-    with pytest.raises(IntegrationDiverged) as ref:
-        rk4_path(deriv, y0, 0.0, 10.0, 100, 1)
-    # no binder at all: only the straight-line loop can run
-    with pytest.raises(IntegrationDiverged) as got:
-        rk4_path(None, y0, 0.0, 10.0, 100, 1, rates=rates)
-    _assert_same_divergence(got.value, ref.value)
-    return got.value
+@pytest.mark.parametrize("name", sorted(NR_POTENTIALS))
+def test_newtonian_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
+    rates = _newtonian_rates(monkeypatch, NR_POTENTIALS[name])
+    y0 = np.array([np.concatenate([s0.x, s0.v]) for s0 in NR_STARTS])
+    _assert_stack_equals_straight_line_runs(rates, y0, 0.25)
 
 
 def test_integrate_nr_divergence_equals_the_array_loop(monkeypatch):
-    deriv, rates = _nr_derivative_forms(monkeypatch, Potential3D.harmonic(1.0))
+    rates = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
     y0 = _nr_state(KinState3D(t=0, x=[1, 0, 0], v=[0, 0, 0], a=[0, 0, 0], j=[0, 0, 0]))
-    got = _straight_line_divergence(deriv, rates, y0)
+    got = _straight_line_divergence(rates, y0)
     assert got.last_time == 950.0
+
+
+def test_integrate_newtonian_divergence_equals_the_array_loop(monkeypatch):
+    rates = _newtonian_rates(monkeypatch, Potential3D.harmonic(1.0))
+    got = _straight_line_divergence(rates, np.array([1.0, 0, 0, 0, 0, 0]), n_steps=200)
+    assert got.last_time == 1180.0
 
 
 NEWTONIAN_POTENTIALS = {
@@ -655,48 +658,47 @@ def test_integrate_free_general_n_matches_the_textbook_closure():
         _assert_bit_identical(traj.blocks.reshape(len(times), 20), samples)
 
 
-def _hamilton_forms(monkeypatch, potential):
+def _hamilton_rates(monkeypatch, potential):
     # k1 = -1/5.2 is no power of two, so pi / k1 and pi * (1 / k1) differ
     s0 = standard_solution().initial_phase_point()
-    return _derivative_forms(monkeypatch, "zitterkit.dynamics.rk4_path",
-                             lambda: integrate_hamilton(s0, ModelParams(m=1.3), potential,
-                                                        1e-3, 1e-3))
+    return _rates_of(monkeypatch, "zitterkit.dynamics.rk4_path",
+                     lambda: integrate_hamilton(s0, ModelParams(m=1.3), potential, 1e-3, 1e-3))
 
 
 @pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
 def test_hamilton_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, name):
-    deriv, rates = _hamilton_forms(monkeypatch, HAMILTON_POTENTIALS[name])
-    _assert_stack_equals_straight_line_runs(deriv, rates, np.array(_hamilton_starts()), 0.5)
+    rates = _hamilton_rates(monkeypatch, HAMILTON_POTENTIALS[name])
+    _assert_stack_equals_straight_line_runs(rates, np.array(_hamilton_starts()), 0.5)
 
 
-def _general_n_forms(monkeypatch, n):
+def _general_n_rates(monkeypatch, n):
     x0, stack = _general_n_starts(n)[0]
-    return _derivative_forms(monkeypatch, "zitterkit.dynamics.rk4_path",
-                             lambda: integrate_free_general_n(GENERAL_N_PARAMS[n], x0, stack,
-                                                              1e-3, 1e-3))
+    return _rates_of(monkeypatch, "zitterkit.dynamics.rk4_path",
+                     lambda: integrate_free_general_n(GENERAL_N_PARAMS[n], x0, stack,
+                                                      1e-3, 1e-3))
 
 
 @pytest.mark.parametrize("n", sorted(GENERAL_N_PARAMS))
 def test_general_n_stack_in_the_array_loop_equals_straight_line_runs(monkeypatch, n):
-    deriv, rates = _general_n_forms(monkeypatch, n)
+    rates = _general_n_rates(monkeypatch, n)
     y0 = np.array([_general_n_state(n, *start) for start in _general_n_starts(n)])
     assert y0.shape == (2, 4 * (2 * n + 1))
-    _assert_stack_equals_straight_line_runs(deriv, rates, y0, 0.0)
+    _assert_stack_equals_straight_line_runs(rates, y0, 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
 def test_integrate_hamilton_divergence_equals_the_array_loop(monkeypatch, name):
-    deriv, rates = _hamilton_forms(monkeypatch, HAMILTON_POTENTIALS[name])
+    rates = _hamilton_rates(monkeypatch, HAMILTON_POTENTIALS[name])
     y0 = standard_solution().initial_phase_point().as_array()
-    got = _straight_line_divergence(deriv, rates, y0)
+    got = _straight_line_divergence(rates, y0)
     assert got.nonfinite
 
 
 @pytest.mark.parametrize("n", sorted(GENERAL_N_PARAMS))
 def test_general_n_divergence_equals_the_array_loop(monkeypatch, n):
-    deriv, rates = _general_n_forms(monkeypatch, n)
+    rates = _general_n_rates(monkeypatch, n)
     y0 = _general_n_state(n, *_general_n_starts(n)[1])
-    got = _straight_line_divergence(deriv, rates, y0)
+    got = _straight_line_divergence(rates, y0)
     assert got.nonfinite
 
 

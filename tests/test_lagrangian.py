@@ -278,27 +278,12 @@ def test_builtin_binders_match_the_textbook_gradient(name):
     stack[1] = -0.0
     stack[2, ::2] = -0.0
     stack[3, 1:] = 0.0
+    # gradient calls the partials on the columns, as the array RK4 loop does
     _assert_bit_identical(pot.gradient(stack), textbook(stack))
-    # one bound point, refilled in place the way an RK4 stage buffer is;
-    # the NaN fill shows that every element of out is written on every call
-    x, out = np.empty(d), np.empty(d)
-    g = pot.bind(x, out)
     for row in stack:
-        x[...] = row
-        out.fill(np.nan)
-        g()
-        _assert_bit_identical(out, textbook(row.copy()))
-        _assert_bit_identical(pot.gradient(row), out)
-        # the component gradient on floats, as the straight-line RK4 loop
-        # calls it, gives the same bits and keeps to Python floats
-        partials = pot.component_gradient(d)(*row.tolist())
+        _assert_bit_identical(pot.gradient(row), textbook(row.copy()))
+        # the partials on floats, as the straight-line RK4 loop calls them,
+        # give the same bits and keep to Python floats
+        partials = pot.partials(*row.tolist())
         assert [type(v) for v in partials] == [float] * d
-        _assert_bit_identical(np.array(partials), out)
-
-
-def test_bind_rejects_a_buffer_of_the_wrong_shape():
-    pot = Potential3D.harmonic(1.0)
-    with pytest.raises(ValueError, match="'harmonic'"):
-        pot.bind(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError, match="'harmonic'"):
-        pot.bind(np.zeros((2, 3)), np.zeros(3))
+        _assert_bit_identical(np.array(partials), textbook(row.copy()))
