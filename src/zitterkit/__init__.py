@@ -51,6 +51,7 @@ from .lagrangian import (
     canonical_momentum,
     characteristic_frequencies,
     hamiltonian,
+    hamiltonian_rows,
     lagrangian_value,
     newton_law_residual,
     pi_momentum,
@@ -61,11 +62,13 @@ from .minkowski import (
     FourVector,
     boost_vector,
     dot,
+    inner,
     lower,
     pauli_lubanski,
     pauli_lubanski_dual,
     spin_tensor_from_va,
     spin_vector,
+    wedge,
 )
 from .nonrel import (
     BarrierInterval,

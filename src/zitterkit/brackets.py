@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lagrangian import ModelParams, PhasePoint, central_gradient
-from .minkowski import METRIC
+from .lagrangian import ModelParams, PhasePoint, central_gradient, hamiltonian_rows
+from .minkowski import inner, wedge
 
 __all__ = [
     "BRACKET_ORIENTATION",
@@ -66,12 +66,10 @@ class PhaseFunction:
 
 
 def _combine(gf: np.ndarray, gg: np.ndarray) -> float:
-    total = 0.0
-    for a, b in (("x", "p"), ("q", "pi")):
-        fa, fb = gf[_BLOCKS[a]], gf[_BLOCKS[b]]
-        ga, gb = gg[_BLOCKS[a]], gg[_BLOCKS[b]]
-        total += float(np.sum(METRIC * (fa * gb - fb * ga)))
-    return total
+    # the 16 partials as the canonical pairs (x, p) and (q, pi): axis 1
+    # picks the coordinate (0) or its momentum (1)
+    f, g = gf.reshape(2, 2, 4), gg.reshape(2, 2, 4)
+    return float((inner(f[:, 0], g[:, 1]) - inner(f[:, 1], g[:, 0])).sum())
 
 
 def poisson(f: PhaseFunction, g: PhaseFunction, s: PhasePoint, h: float = 1e-4) -> float:
@@ -99,32 +97,16 @@ def coordinate(block: str, mu: int) -> PhaseFunction:
     return PhaseFunction(fn=lambda y: y[..., i], label=f"{block}^{mu}")
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # stacked matmul reduces each row in the same order as the 1-D product
-    # a @ b; .sum(-1) and einsum do not, and change the last bits of H
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def hamiltonian_function(params: ModelParams) -> PhaseFunction:
-    """The free scalar Hamiltonian of the n=1 theory as a phase function."""
-    if params.n != 1:
-        raise ValueError(f"the Hamiltonian form requires n=1, got n={params.n}")
-    m = params.m
-    k1 = params.k1
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        p, q, pi = y[..., 4:8], y[..., 8:12], y[..., 12:16]
-        return (_rowdot(METRIC * p, q) - 0.5 * m * _rowdot(METRIC * q, q)
-                + _rowdot(METRIC * pi, pi) / (2.0 * k1))
-
-    return PhaseFunction(fn=fn, label="H")
+    """The free scalar Hamiltonian of the n=1 theory as a phase function,
+    :func:`zitterkit.lagrangian.hamiltonian_rows`."""
+    return PhaseFunction(fn=lambda y: hamiltonian_rows(params, y), label="H")
 
 
 def canonical_spin_function(mu: int, nu: int) -> PhaseFunction:
     """Canonical spin-tensor component q^mu pi^nu - q^nu pi^mu."""
-    return PhaseFunction(
-        fn=lambda y: y[..., 8 + mu] * y[..., 12 + nu] - y[..., 8 + nu] * y[..., 12 + mu],
-        label=f"S^{mu}{nu}")
+    return PhaseFunction(fn=lambda y: wedge(y[..., 8:12], y[..., 12:16])[..., mu, nu],
+                         label=f"S^{mu}{nu}")
 
 
 @dataclass(frozen=True)
@@ -162,12 +144,10 @@ class AppendixBracketReport:
 def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> AppendixBracketReport:
     """Evaluate the five bracket-form evolution identities of the free n=1
     theory at one phase-space point and report their residual maxima."""
-    if params.n != 1:
-        raise ValueError(f"appendix verification requires n=1, got n={params.n}")
+    y0 = s.as_array()
+    gh = central_gradient(hamiltonian_function(params), y0, h)  # raises unless n=1
     m = params.m
     k1 = params.k1
-    y0 = s.as_array()
-    gh = central_gradient(hamiltonian_function(params), y0, h)
     sgn = BRACKET_ORIENTATION
 
     def rate(g: PhaseFunction) -> float:
@@ -177,11 +157,9 @@ def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> Appe
     r_x = max(abs(rate(coordinate("x", mu)) - s.q[mu]) for mu in range(4))
     r_q = max(abs(rate(coordinate("q", mu)) - s.pi[mu] / k1) for mu in range(4))
     r_pi = max(abs(rate(coordinate("pi", mu)) + (s.p[mu] - m * s.q[mu])) for mu in range(4))
-    r_s = 0.0
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            expected = s.p[mu] * s.q[nu] - s.p[nu] * s.q[mu]
-            r_s = max(r_s, abs(rate(canonical_spin_function(mu, nu)) - expected))
+    expected = wedge(s.p.components, s.q.components)
+    r_s = max(abs(rate(canonical_spin_function(mu, nu)) - expected[mu, nu])
+              for mu in range(4) for nu in range(mu + 1, 4))
     return AppendixBracketReport(orientation=sgn, h=h, momentum_max=r_p,
                                  position_max=r_x, velocity_max=r_q,
                                  pi_max=r_pi, spin_max=r_s)

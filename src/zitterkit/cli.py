@@ -416,8 +416,7 @@ def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     integ = scn["integrator"]
     traj = nonrel.integrate_nr(s0, params, pot, integ["t_end"], integ["dt"],
                                integ.get("stride", 1))
-    e0 = traj.e_total[0]
-    drift = float(np.abs(traj.e_total - e0).max() / (abs(e0) if e0 != 0 else 1.0))
+    drift = dynamics.relative_drift(traj.e_total)
     work = nonrel.work_integral(traj, pot)
     dkin = float(traj.e_kinetic[-1] - traj.e_kinetic[0])
     lines = [f"nonrel run: m={params.m:g} potential={pot.label} samples={len(traj)}"]

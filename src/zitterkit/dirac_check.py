@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import METRIC, FourVector, dot
+from .minkowski import METRIC, FourVector, check_on_shell, dot, lower
 
 __all__ = [
     "gamma_matrices",
@@ -66,7 +66,7 @@ def gamma_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def slash(p: FourVector) -> np.ndarray:
     """Contraction p_mu gamma^mu with explicit index lowering."""
-    pl = METRIC * p.components
+    pl = lower(p)
     return sum(pl[mu] * _GAMMAS[mu] for mu in range(4))
 
 
@@ -138,7 +138,7 @@ def verify_heisenberg(p: FourVector, m: float) -> HeisenbergReport:
     momentum; they are purely algebraic and hold for any p and m."""
     ham = proper_time_hamiltonian(p, m)
     pc = p.components
-    pl = METRIC * pc
+    pl = lower(p)
     sl = slash(p)
     p2 = dot(p, p)
 
@@ -204,9 +204,7 @@ def verify_onshell_zbw(p: FourVector, m: float, tol: float = 1e-10) -> OnshellRe
     -4 m^2 g^mu + 4 m p^mu and the velocity operator obeys
     g^mu = p^mu / m - rate(accel)^mu / (4 m^2).
     """
-    p2 = dot(p, p)
-    if abs(p2 - m * m) > tol:
-        raise ValueError(f"p is off shell: <p,p> = {p2}, expected m^2 = {m * m}")
+    check_on_shell(p, m, tol)
     sl = slash(p)
     eigvals = np.linalg.eigvals(sl)
     dim = int(np.sum(np.abs(eigvals - m) <= 1e-8 * max(1.0, abs(m))))

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lagrangian import ModelParams, PhasePoint, ScalarPotential, canonical_momentum
-from .minkowski import METRIC, FourVector
+from .lagrangian import (ModelParams, PhasePoint, ScalarPotential, canonical_momentum,
+                         hamiltonian_rows)
+from .minkowski import METRIC, FourVector, check_on_shell, dot, inner, spin_vector, wedge
 
 __all__ = [
     "IntegrationDiverged",
@@ -30,6 +31,7 @@ __all__ = [
     "integrate_hamilton",
     "integrate_free_general_n",
     "monitor",
+    "relative_drift",
     "mean_time_dilation",
     "check_superluminal",
     "rk4_path",
@@ -65,11 +67,27 @@ def _require_positive(name: str, value: float):
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps of size dt that reach t_end, at least one.
 
-    Raises ValueError unless both t_end and dt are positive and finite.
+    Raises ValueError unless both t_end and dt are positive and finite and
+    so is their quotient.
     """
     _require_positive("t_end", t_end)
     _require_positive("dt", dt)
-    return max(1, int(round(t_end / dt)))
+    quotient = t_end / dt
+    if quotient == math.inf:
+        raise ValueError(f"t_end/dt must be finite, got t_end={t_end} and dt={dt}")
+    return max(1, int(round(quotient)))
+
+
+def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
+    """The steps 0, stride, 2 stride, ... and n_steps at which a run of
+    n_steps records a sample; raises ValueError unless stride >= 1 and
+    n_steps >= 0."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    steps = np.arange(0, n_steps + 1, stride)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
@@ -91,7 +109,7 @@ def _define(name: str, source: str, filename: str, **namespace):
 def _straight_line_rk4(n: int):
     """The step loop of :func:`rk4_path` written out for a state of n floats.
 
-    The generated ``run(rates, y, t0, dt, n_steps, stride, times, samples)``
+    The generated ``run(rates, y, t0, dt, n_steps, stride, samples)``
     keeps each component, stage rate and compensation term in a local
     float and does the array loop's arithmetic in its order, so it returns
     the same bits.  It is compiled on first use and kept for each n.
@@ -110,7 +128,7 @@ def _straight_line_rk4(n: int):
             "n{c} = y{c} + e{c}",
             "c{c} = (n{c} - y{c}) - e{c}")])
     source = f"""
-def run(rates, y, t0, dt, n_steps, stride, times, samples, isfinite=isfinite):
+def run(rates, y, t0, dt, n_steps, stride, samples, isfinite=isfinite):
     {ys}, = y
     {each('c{c}')}, = {(0.0,) * n}
     half, sixth = 0.5 * dt, dt / 6.0
@@ -123,7 +141,6 @@ def run(rates, y, t0, dt, n_steps, stride, times, samples, isfinite=isfinite):
             raise diverged(t0 + i * dt, t, ({each('n{c}')},), ({ys},))
         {each('y{c} = n{c}', '; ')}
         if i % stride == 0 or i == n_steps:
-            times[j] = t0 + i * dt
             samples[j] = {ys},
             j += 1
 """
@@ -162,20 +179,14 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     state stops being finite.
     """
     _require_positive("dt", dt)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    steps = _sample_steps(n_steps, stride)
     y = np.array(y0, dtype=float, order="C")
-    n_samples = 1 + n_steps // stride + (n_steps % stride != 0)
-    times = np.empty(n_samples)
-    samples = np.empty((n_samples,) + y.shape)
-    times[0] = t0
+    times = t0 + steps * dt
+    samples = np.empty((len(steps),) + y.shape)
     samples[0] = y
     if y.ndim == 1:
         with np.errstate(over="ignore", invalid="ignore"):
-            _straight_line_rk4(y.size)(rates, y.tolist(), t0, dt, n_steps, stride,
-                                       times, samples)
+            _straight_line_rk4(y.size)(rates, y.tolist(), t0, dt, n_steps, stride, samples)
         return times, samples
     comp = np.zeros_like(y)
     k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
@@ -215,7 +226,6 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
             if not isfinite(yflat.dot(zeros)):
                 raise _diverged(t0 + i * dt, t, y, ynew)
             if i % stride == 0 or i == n_steps:
-                times[j] = t0 + i * dt
                 samples[j] = y
                 j += 1
     return times, samples
@@ -269,9 +279,9 @@ class FreeSolution:
 
 
 def _check_spacelike(vec: FourVector, name: str):
-    sq = float(np.dot(vec.components * METRIC, vec.components))
     if np.all(vec.components == 0.0):
         return
+    sq = dot(vec, vec)
     if sq >= 0.0:
         raise ValueError(f"{name} must be spacelike (or exactly zero); got square {sq}")
 
@@ -288,21 +298,14 @@ def make_free_solution(params: ModelParams, p: FourVector, cos_amp: FourVector,
     """
     if params.n != 1:
         raise ValueError(f"free solution requires n=1, got n={params.n}")
-    m = params.m
-    pp = float(np.dot(p.components * METRIC, p.components))
-    if abs(pp - m * m) > tol:
-        raise ValueError(f"p is off shell: <p,p> = {pp}, expected m^2 = {m * m}")
+    pp = check_on_shell(p, params.m, tol)
     if x0 is None:
         x0 = FourVector.zero()
     if project:
-        pl = METRIC * p.components
-        cos_amp = FourVector.from_array(
-            cos_amp.components - np.dot(pl, cos_amp.components) / pp * p.components)
-        sin_amp = FourVector.from_array(
-            sin_amp.components - np.dot(pl, sin_amp.components) / pp * p.components)
+        cos_amp, sin_amp = (vec - p * (dot(p, vec) / pp) for vec in (cos_amp, sin_amp))
     for vec, name in ((cos_amp, "cos_amp"), (sin_amp, "sin_amp")):
         _check_spacelike(vec, name)
-        ortho = float(np.dot(p.components * METRIC, vec.components))
+        ortho = dot(p, vec)
         if abs(ortho) > tol:
             raise ValueError(
                 f"{name} must be orthogonal to p (<p,{name}> = {ortho}); "
@@ -392,37 +395,25 @@ def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPoten
     p = blocks[:, 1, :]
     q = blocks[:, 2, :]
     pi = blocks[:, 3, :]
-    pl = p * METRIC
     if potential is None:
         u = np.zeros(len(times))
     else:
         u = potential.value_many(blocks[:, 0, :])
-    energy = ((pl * q).sum(1) - 0.5 * m * (q * METRIC * q).sum(1)
-              + (pi * METRIC * pi).sum(1) / (2.0 * k1) + u)
-    pv = (pl * q).sum(1)
-    pp = (pl * p).sum(1)
-    # spin vector of the canonical spin tensor q ^ pi
-    spin = np.stack([
-        q[:, 2] * pi[:, 3] - q[:, 3] * pi[:, 2],
-        q[:, 3] * pi[:, 1] - q[:, 1] * pi[:, 3],
-        q[:, 1] * pi[:, 2] - q[:, 2] * pi[:, 1],
-    ], axis=1)
+    pv = inner(p, q)
     # pointwise residual of the velocity equation, with the spin-tensor rate
     # S = k1 (q ^ a) expressed through the equations of motion (no finite
     # differences here); the a ^ a part of the rate vanishes identically
     adot = (m * q - p) / k1
-    sdot_p = k1 * (q * (adot * pl).sum(1)[:, None] - adot * (q * pl).sum(1)[:, None])
-    res = q - p / m + sdot_p / m**2
+    sdot_p = k1 * (q * inner(adot, p)[:, None] - adot * pv[:, None])
     w = q - p / m
     return {
-        "energy": energy,
+        "energy": hamiltonian_rows(params, blocks.reshape(len(times), 16)) + u,
         "pv": pv,
-        "onshell": pp,
-        "spin": spin,
-        "zbw_residual": np.abs(res).max(axis=1),
+        "onshell": inner(p, p),
+        "spin": spin_vector(wedge(q, pi)),
+        "zbw_residual": np.abs(w + sdot_p / m**2).max(axis=1),
         "pv_residual": np.abs(pv - m),
-        "zbw_square": (w * METRIC * w).sum(1),
-        "potential": u,
+        "zbw_square": inner(w, w),
     }
 
 
@@ -505,10 +496,7 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
     p = canonical_momentum(params, stack)
 
     if n == 0:
-        idx = np.arange(0, n_steps + 1, stride)
-        if idx[-1] != n_steps:
-            idx = np.append(idx, n_steps)
-        times = idx * dt
+        times = _sample_steps(n_steps, stride) * dt
         v = stack[0].components
         blocks = np.empty((len(times), 2, 4))
         blocks[:, 0, :] = x0.components + np.outer(times, v)
@@ -580,18 +568,15 @@ def monitor(traj: Trajectory) -> MonitorReport:
     k1 = params.k1
     p = traj.ps
     q = traj.qs
-    pi = traj.pis
-    a = pi / k1
+    a = traj.accs
     pl = p * METRIC
 
-    s_tensor = q[:, :, None] * pi[:, None, :] - pi[:, :, None] * q[:, None, :]
+    s_tensor = wedge(q, traj.pis)
     sp = np.einsum("nij,nj->ni", s_tensor, pl)
 
     momentum_drift = float(np.abs(p - p[0]).max())
-    energy = traj.records["energy"]
-    e0 = energy[0]
-    energy_rel_drift = float(np.abs(energy - e0).max() / (abs(e0) if e0 != 0 else 1.0))
-    pv_constraint = float(np.abs(traj.records["pv"] - m).max())
+    energy_rel_drift = relative_drift(traj.records["energy"])
+    pv_constraint = float(traj.records["pv_residual"].max())
     onshell_constraint = float(np.abs(traj.records["onshell"] - m * m).max())
 
     mid = slice(2, n_uni - 2)
@@ -624,7 +609,20 @@ def monitor(traj: Trajectory) -> MonitorReport:
     )
 
 
+def relative_drift(values: np.ndarray) -> float:
+    """Largest |values - values[0]|, relative to |values[0]| unless that is 0."""
+    v0 = values[0]
+    return float(np.abs(values - v0).max() / (abs(v0) if v0 != 0 else 1.0))
+
+
 TimeDilation = namedtuple("TimeDilation", ["mean_v0", "lorentz"])
+
+
+def _period_velocities(sol: FreeSolution, samples: int) -> np.ndarray:
+    """The velocity of ``sol`` at samples + 1 evenly spaced times spanning one
+    oscillation period, ends included."""
+    period = 2.0 * np.pi / sol.omega
+    return sol.sample(np.linspace(0.0, period, samples + 1))[1]
 
 
 def mean_time_dilation(sol: FreeSolution, samples: int = 4096) -> TimeDilation:
@@ -634,10 +632,7 @@ def mean_time_dilation(sol: FreeSolution, samples: int = 4096) -> TimeDilation:
     ``sol.sample``); only its period mean equals the Lorentz factor p^0/m.
     The mean is measured by trapezoidal quadrature over one exact period.
     """
-    period = 2.0 * np.pi / sol.omega
-    taus = np.linspace(0.0, period, samples + 1)
-    _, v, _ = sol.sample(taus)
-    v0 = v[:, 0]
+    v0 = _period_velocities(sol, samples)[:, 0]
     mean = float((0.5 * v0[0] + v0[1:-1].sum() + 0.5 * v0[-1]) / samples)
     return TimeDilation(mean_v0=mean, lorentz=float(sol.p[0] / sol.params.m))
 
@@ -665,9 +660,7 @@ class SpeedReport:
 
 
 def check_superluminal(sol: FreeSolution, samples: int = 4096) -> SpeedReport:
-    period = 2.0 * np.pi / sol.omega
-    taus = np.linspace(0.0, period, samples + 1)
-    _, v, _ = sol.sample(taus)
+    v = _period_velocities(sol, samples)
     with np.errstate(divide="ignore", invalid="ignore"):
         speeds = np.linalg.norm(v[:, 1:], axis=1) / v[:, 0]
     pc = sol.p.components

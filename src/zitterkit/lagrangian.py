@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .minkowski import METRIC, FourVector, dot
+from .minkowski import METRIC, FourVector, dot, inner
 
 __all__ = [
     "ModelParams",
@@ -24,6 +24,7 @@ __all__ = [
     "canonical_momentum",
     "pi_momentum",
     "hamiltonian",
+    "hamiltonian_rows",
     "newton_law_residual",
     "characteristic_frequencies",
     "companion_roots",
@@ -76,7 +77,8 @@ class Potential:
     def _stacked_partials(self, *coords):
         """The partials from ``grad`` or central differences: Python floats
         for float coordinates, columns for array ones."""
-        x = np.stack(coords, axis=-1)
+        # np.array packs one point's floats ~10x faster than np.stack
+        x = np.array(coords) if isinstance(coords[0], float) else np.stack(coords, axis=-1)
         if self._grad is None:
             g = central_gradient(self.value_many, x, self.step)
         else:
@@ -208,11 +210,11 @@ class ScalarPotential(Potential):
     def linear(cls, b) -> "ScalarPotential":
         """U(x) = b_mu x^mu for contravariant components b; the partials are
         the constant lowered vector METRIC * b."""
-        bl = METRIC * np.asarray(b, dtype=float)
-        if bl.shape != (4,):
-            raise ValueError(f"b must have 4 components, got shape {bl.shape}")
-        partials = tuple(bl.tolist())
-        return cls(lambda x: (np.asarray(x) * bl).sum(-1),
+        b = np.asarray(b, dtype=float)
+        if b.shape != (4,):
+            raise ValueError(f"b must have 4 components, got shape {b.shape}")
+        partials = tuple((METRIC * b).tolist())
+        return cls(lambda x: inner(b, np.asarray(x)),
                    partials=lambda x0, x1, x2, x3: partials, label="linear")
 
     @classmethod
@@ -264,15 +266,19 @@ def pi_momentum(params: ModelParams, a: FourVector) -> FourVector:
     return FourVector.from_array(params.k1 * a.components)
 
 
-def hamiltonian(params: ModelParams, s: PhasePoint, potential_energy: float = 0.0) -> float:
-    """Conserved scalar Hamiltonian of the n=1 theory,
-    H = <p,q> - (m/2)<q,q> + <pi,pi>/(2 k1) + U."""
+def hamiltonian_rows(params: ModelParams, y) -> np.ndarray:
+    """Free scalar Hamiltonian H = <p,q> - (m/2)<q,q> + <pi,pi>/(2 k1) of the
+    n=1 theory, without the potential, at each (..., 16) row (x, p, q, pi)."""
     if params.n != 1:
         raise ValueError(f"the Hamiltonian form is implemented for n=1 only, got n={params.n}")
-    return (dot(s.p, s.q)
-            - 0.5 * params.m * dot(s.q, s.q)
-            + dot(s.pi, s.pi) / (2.0 * params.k1)
-            + potential_energy)
+    p, q, pi = y[..., 4:8], y[..., 8:12], y[..., 12:16]
+    return inner(p, q) - 0.5 * params.m * inner(q, q) + inner(pi, pi) / (2.0 * params.k1)
+
+
+def hamiltonian(params: ModelParams, s: PhasePoint, potential_energy: float = 0.0) -> float:
+    """Conserved scalar Hamiltonian of the n=1 theory at one state,
+    :func:`hamiltonian_rows` plus the potential energy U."""
+    return float(hamiltonian_rows(params, s.as_array())) + potential_energy
 
 
 def newton_law_residual(params: ModelParams, accel_stack: Sequence[FourVector],

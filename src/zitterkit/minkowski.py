@@ -15,8 +15,11 @@ __all__ = [
     "METRIC",
     "FourVector",
     "AntisymTensor4",
+    "inner",
     "dot",
     "lower",
+    "check_on_shell",
+    "wedge",
     "spin_tensor_from_va",
     "spin_vector",
     "boost_vector",
@@ -117,14 +120,29 @@ class FourVector:
         return "FourVector({}, {}, {}, {})".format(*self._c)
 
 
+def inner(a, b) -> np.ndarray:
+    """Metric inner product a0*b0 - a1*b1 - a2*b2 - a3*b3 of each pair of
+    (..., 4) rows; ``.sum(-1)`` adds a row in the same order whatever stack
+    it is part of, so one row and a stack of it give the same bits."""
+    return (a * METRIC * b).sum(-1)
+
+
 def dot(u: FourVector, v: FourVector) -> float:
-    """Metric inner product u0*v0 - u1*v1 - u2*v2 - u3*v3."""
-    return float(np.dot(u.components * METRIC, v.components))
+    """:func:`inner` of two four-vectors."""
+    return float(inner(u.components, v.components))
 
 
 def lower(u: FourVector) -> np.ndarray:
     """Covariant components (u0, -u1, -u2, -u3) as a plain array."""
     return METRIC * u.components
+
+
+def check_on_shell(p: FourVector, m: float, tol: float) -> float:
+    """<p,p>, which must equal m^2 within tol or raise ValueError."""
+    pp = dot(p, p)
+    if abs(pp - m * m) > tol:
+        raise ValueError(f"p is off shell: <p,p> = {pp}, expected m^2 = {m * m}")
+    return pp
 
 
 class AntisymTensor4:
@@ -185,16 +203,23 @@ class AntisymTensor4:
                 .format(m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3]))
 
 
+def wedge(a, b) -> np.ndarray:
+    """Antisymmetric product a^mu b^nu - a^nu b^mu of each pair of (..., 4)
+    rows, as (..., 4, 4) arrays."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+
+
 def spin_tensor_from_va(v: FourVector, a: FourVector, k1: float) -> AntisymTensor4:
     """Spin tensor k1 * (v^mu a^nu - v^nu a^mu) of the first-order theory."""
-    outer = np.outer(v.components, a.components)
-    return AntisymTensor4.from_matrix(k1 * (outer - outer.T))
+    return AntisymTensor4.from_matrix(k1 * wedge(v.components, a.components))
 
 
-def spin_vector(s: AntisymTensor4) -> np.ndarray:
-    """Spatial spin 3-vector s_i = (1/2) eps_ijk S^jk with eps_123 = +1."""
-    m = s.as_matrix()
-    return np.array([m[2, 3], m[3, 1], m[1, 2]])
+def spin_vector(s) -> np.ndarray:
+    """Spatial spin 3-vector s_i = (1/2) eps_ijk S^jk with eps_123 = +1, of
+    an :class:`AntisymTensor4` or of each (..., 4, 4) array."""
+    m = s.as_matrix() if isinstance(s, AntisymTensor4) else np.asarray(s)
+    return np.stack([m[..., 2, 3], m[..., 3, 1], m[..., 1, 2]], axis=-1)
 
 
 def boost_vector(s: AntisymTensor4) -> np.ndarray:

@@ -146,18 +146,20 @@ class EnergyBreakdown:
         return self.kinetic_zbw
 
 
-def _kinetic_zbw(params: ModelParams, vs, accs, jerks):
-    """Non-Newtonian kinetic term -(hbar^2/4mc^4)(a^2/2 - adot.v) of each
-    row of the (..., 3) velocity, acceleration and jerk arrays."""
-    return -zbw_coefficient(params) * (0.5 * (accs**2).sum(-1) - (jerks * vs).sum(-1))
+def _energy_split(params: ModelParams, pot: Potential3D, xs, vs, accs, jerks,
+                  newtonian: bool = False):
+    """The fields of :class:`EnergyBreakdown`, T_newton, T_zbw, T, U and
+    E_total, of each row of the (..., 3) state arrays; a Newtonian run has
+    T_zbw = 0."""
+    kn = 0.5 * params.m * (vs**2).sum(-1)
+    kz = (np.zeros_like(kn) if newtonian else
+          -zbw_coefficient(params) * (0.5 * (accs**2).sum(-1) - (jerks * vs).sum(-1)))
+    u = pot.value_many(xs)
+    return kn, kz, kn + kz, u, kn + kz + u
 
 
 def energy_breakdown(params: ModelParams, s: KinState3D, pot: Potential3D) -> EnergyBreakdown:
-    kn = 0.5 * params.m * float(np.dot(s.v, s.v))
-    kz = float(_kinetic_zbw(params, s.v, s.a, s.j))
-    u = pot.value(s.x)
-    return EnergyBreakdown(kinetic_newton=kn, kinetic_zbw=kz, kinetic=kn + kz,
-                           potential=u, total=kn + kz + u)
+    return EnergyBreakdown(*map(float, _energy_split(params, pot, s.x, s.v, s.a, s.j)))
 
 
 def nr_momentum(params: ModelParams, s: KinState3D) -> np.ndarray:
@@ -169,7 +171,7 @@ def quantum_potential_analogue(params: ModelParams, s: KinState3D) -> float:
     """Classical counterpart of the quantum potential of wave mechanics:
     -(hbar^2 / 4 m c^4) (a^2/2 - adot.v), identical to the non-Newtonian
     kinetic term."""
-    return float(_kinetic_zbw(params, s.v, s.a, s.j))
+    return energy_breakdown(params, s, Potential3D.zero()).kinetic_zbw
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,23 +198,12 @@ class Trajectory3D:
         return KinState3D(t=float(self.times[i]), x=self.xs[i], v=self.vs[i],
                           a=self.accs[i], j=self.jerks[i])
 
-    def breakdown(self, i: int) -> EnergyBreakdown:
-        return EnergyBreakdown(
-            kinetic_newton=float(self.e_newton[i]), kinetic_zbw=float(self.e_zbw[i]),
-            kinetic=float(self.e_kinetic[i]), potential=float(self.e_potential[i]),
-            total=float(self.e_total[i]))
-
 
 def _make_traj(params, pot, times, xs, vs, accs, jerks, newtonian=False) -> Trajectory3D:
-    kn = 0.5 * params.m * (vs**2).sum(1)
-    if newtonian:
-        kz = np.zeros(len(times))
-    else:
-        kz = _kinetic_zbw(params, vs, accs, jerks)
-    u = pot.value_many(xs)
+    kn, kz, kinetic, u, total = _energy_split(params, pot, xs, vs, accs, jerks, newtonian)
     return Trajectory3D(params=params, times=times, xs=xs, vs=vs, accs=accs,
-                        jerks=jerks, e_newton=kn, e_zbw=kz, e_kinetic=kn + kz,
-                        e_potential=u, e_total=kn + kz + u, newtonian=newtonian)
+                        jerks=jerks, e_newton=kn, e_zbw=kz, e_kinetic=kinetic,
+                        e_potential=u, e_total=total, newtonian=newtonian)
 
 
 def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,

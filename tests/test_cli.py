@@ -295,6 +295,17 @@ def test_non_finite_integrator_value_exits_2(tmp_path, capsys, field):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_overflowing_step_count_exits_2(capsys, tmp_path):
+    # t_end and dt are each finite, but their quotient is not
+    assert main(["run", scenario_path("free_cmf.json"),
+                 "--set", "integrator.t_end=1e300", "--set", "integrator.dt=1e-300",
+                 "--set", f"output.path={tmp_path / 'out.csv'}"]) == 2
+    err = capsys.readouterr().err
+    assert "error: t_end/dt must be finite, got t_end=1e+300 and dt=1e-300" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("integration started with an invalid precision")

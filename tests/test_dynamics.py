@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
     IntegrationDiverged,
     check_superluminal,
@@ -21,6 +22,7 @@ from zitterkit.lagrangian import (
     ScalarPotential,
     canonical_momentum,
     characteristic_frequencies,
+    hamiltonian,
 )
 from zitterkit.minkowski import METRIC, FourVector, dot
 from zitterkit.nonrel import (
@@ -143,15 +145,19 @@ def test_integrate_hamilton_validation():
 
 
 INTEGRATORS = {
-    "hamilton": lambda t_end, dt: integrate_hamilton(
-        standard_solution().initial_phase_point(), PARAMS, None, t_end, dt),
-    "free_general_n": lambda t_end, dt: integrate_free_general_n(
-        PARAMS, FourVector.zero(), [P_CMF, FourVector.zero(), FourVector.zero()], t_end, dt),
-    "nr": lambda t_end, dt: integrate_nr(
+    "hamilton": lambda t_end, dt, stride=1: integrate_hamilton(
+        standard_solution().initial_phase_point(), PARAMS, None, t_end, dt, stride),
+    "free_general_n": lambda t_end, dt, stride=1: integrate_free_general_n(
+        PARAMS, FourVector.zero(), [P_CMF, FourVector.zero(), FourVector.zero()], t_end, dt,
+        stride),
+    # n=0 is evaluated exactly, off the RK4 path
+    "free_general_n0": lambda t_end, dt, stride=1: integrate_free_general_n(
+        ModelParams(m=1.0, n=0), FourVector.zero(), [P_CMF], t_end, dt, stride),
+    "nr": lambda t_end, dt, stride=1: integrate_nr(
         KinState3D(t=0, x=[0, 0, 0], v=[0.1, 0, 0], a=[0, 0, 0], j=[0, 0, 0]),
-        PARAMS, Potential3D.zero(), t_end, dt),
-    "newtonian": lambda t_end, dt: integrate_newtonian(
-        [0, 0, 0], [0.1, 0, 0], PARAMS, Potential3D.zero(), t_end, dt),
+        PARAMS, Potential3D.zero(), t_end, dt, stride),
+    "newtonian": lambda t_end, dt, stride=1: integrate_newtonian(
+        [0, 0, 0], [0.1, 0, 0], PARAMS, Potential3D.zero(), t_end, dt, stride),
 }
 
 
@@ -160,6 +166,13 @@ INTEGRATORS = {
 def test_integrators_reject_non_positive_time_arguments(name, t_end, dt):
     with pytest.raises(ValueError, match="must be positive"):
         INTEGRATORS[name](t_end, dt)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_integrators_reject_a_stride_below_one(name, stride):
+    with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+        INTEGRATORS[name](1.0, 0.1, stride)
 
 
 def test_integrate_hamilton_divergence_reports_last_time():
@@ -422,6 +435,17 @@ NR_POTENTIALS = {
     "user_grad": Potential3D(_user_fn, grad=_user_grad, label="user_grad"),
 }
 
+
+@pytest.mark.parametrize("name", ["user_fn", "user_grad"])
+def test_user_partials_of_floats_are_python_floats(name):
+    pot = NR_POTENTIALS[name]
+    point = [0.4, -0.23, 0.17]
+    partials = pot.partials(*point)
+    assert [type(v) for v in partials] == [float] * 3
+    # the same bits as the partials of a stack of columns
+    _assert_bit_identical(np.array(partials), pot.gradient(np.array([point, point]))[0])
+
+
 NR_STARTS = [
     # the z axis is at rest at -0.0, where -(g + m a) would flip signed zeros
     KinState3D(t=0.25, x=[0.4, -0.0, -0.0], v=[-0.0, 0.5, -0.0],
@@ -565,6 +589,19 @@ HAMILTON_POTENTIALS = {
     "user_fn": ScalarPotential(_user_fn, label="user_fn"),
     "user_grad": ScalarPotential(_user_fn, grad=_user_grad4, label="user_grad"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTON_POTENTIALS))
+def test_energy_record_is_the_one_hamiltonian(name):
+    # the H column, the bracket suite's H and H of one state share one
+    # formula, so they agree bit for bit
+    potential = HAMILTON_POTENTIALS[name]
+    traj = integrate_hamilton(boosted_solution().initial_phase_point(), PARAMS, potential,
+                              0.5, 1e-3, stride=25)
+    u = np.zeros(len(traj)) if potential is None else potential.value_many(traj.xs)
+    energy = traj.records["energy"]
+    assert np.array_equal(energy, hamiltonian_function(PARAMS)(traj.blocks.reshape(-1, 16)) + u)
+    assert energy.tolist() == [hamiltonian(PARAMS, s, float(v)) for s, v in zip(traj.states, u)]
 
 
 def _hamilton_starts():

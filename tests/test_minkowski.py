@@ -9,11 +9,13 @@ from zitterkit.minkowski import (
     FourVector,
     boost_vector,
     dot,
+    inner,
     lower,
     pauli_lubanski,
     pauli_lubanski_dual,
     spin_tensor_from_va,
     spin_vector,
+    wedge,
 )
 
 
@@ -21,6 +23,20 @@ def test_dot_examples():
     assert dot(FourVector(1, 0, 0, 0), FourVector(1, 0, 0, 0)) == 1.0
     assert dot(FourVector(0, 1, 0, 0), FourVector(0, 1, 0, 0)) == -1.0
     assert dot(FourVector(2, 1, 1, 0), FourVector(1, 1, 0, 0)) == 1.0
+
+
+def test_row_forms_match_the_four_vector_forms():
+    rows = np.random.default_rng(3).uniform(-2, 2, size=(2, 5, 2, 4))
+    a, b = rows[..., 0, :], rows[..., 1, :]
+    products, tensors = inner(a, b), wedge(a, b)
+    spins = spin_vector(tensors)
+    assert (products.shape, tensors.shape, spins.shape) == ((2, 5), (2, 5, 4, 4), (2, 5, 3))
+    for idx in np.ndindex(2, 5):
+        u, v = FourVector.from_array(a[idx]), FourVector.from_array(b[idx])
+        s = spin_tensor_from_va(u, v, 1.0)
+        assert products[idx] == dot(u, v)
+        assert np.array_equal(tensors[idx], s.as_matrix())
+        assert np.array_equal(spins[idx], spin_vector(s))
 
 
 def test_four_vector_rejects_non_finite():
