@@ -43,6 +43,7 @@ from .dynamics import (
     rk4_path,
     zero_crossings,
 )
+from .forms import FloatForm
 from .lagrangian import (
     ModelParams,
     PhasePoint,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .forms import FloatForm, assignments, check_names, define
 from .lagrangian import (ModelParams, PhasePoint, ScalarPotential, canonical_momentum,
                          hamiltonian_rows)
 from .minkowski import METRIC, FourVector, check_on_shell, dot, inner, spin_vector, wedge
@@ -98,54 +99,65 @@ def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
         last_state=np.array(last_state, dtype=float))
 
 
-def _define(name: str, source: str, filename: str, **namespace):
-    """Compile ``source`` with ``namespace`` as its globals and return the
-    function ``name`` that it defines."""
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
+def _kernel_source(text) -> str:
+    """The source of the step loop of :func:`rk4_path` written out for the
+    float form of ``text`` (see :attr:`FloatForm.text`).
+
+    The generated ``run(y, t0, dt, n_steps, stride, samples, *constants)``
+    keeps each component, stage rate and compensation term in a local float
+    and does the array loop's arithmetic in its order, so it returns the
+    same bits.  Each of the four stages assigns the stage time and values to
+    the form's names, runs its lines and assigns its result to the stage's
+    rates; the kernel's own names start with ``_``.
+    """
+    args, time, lines, result, constants = text
+    check_names(text)
+    n = len(args)
+
+    def each(template):
+        return [template.format(c=c) for c in range(n)]
+
+    def stage(k, when, values):
+        return ([f"{time} = {when}"] + [f"{a} = {v}" for a, v in zip(args, each(values))]
+                + list(lines) + assignments(each(f"_k{k}_{{c}}"), result))
+
+    ys = ", ".join(each("_y{c}"))
+    step = "\n        ".join(
+        stage(1, "_t", "_y{c}")
+        + stage(2, "_t + _half", "_y{c} + _half * _k1_{c}")
+        + stage(3, "_t + _half", "_y{c} + _half * _k2_{c}")
+        + stage(4, "_t + _dt", "_y{c} + _dt * _k3_{c}")
+        + [line.format(c=c) for c in range(n) for line in (
+            "_e{c} = _sixth * ((_k1_{c} + 2.0 * (_k2_{c} + _k3_{c})) + _k4_{c}) - _c{c}",
+            "_n{c} = _y{c} + _e{c}",
+            "_c{c} = (_n{c} - _y{c}) - _e{c}")])
+    params = ", ".join(("_y", "_t0", "_dt", "_n_steps", "_stride", "_samples")
+                       + constants + ("_isfinite=_isfinite",))
+    return f"""
+def run({params}):
+    {ys}, = _y
+    {", ".join(each('_c{c}'))}, = {(0.0,) * n}
+    _half, _sixth = 0.5 * _dt, _dt / 6.0
+    _j = 1
+    for _i in range(1, _n_steps + 1):
+        _t = _t0 + (_i - 1) * _dt
+        {step}
+        # the float form of y . 0: NaN exactly when some component is not finite
+        if not _isfinite({" + ".join(each('_n{c} * 0.0'))}):
+            raise _diverged(_t0 + _i * _dt, _t, ({", ".join(each('_n{c}'))},), ({ys},))
+        {"; ".join(each('_y{c} = _n{c}'))}
+        if _i % _stride == 0 or _i == _n_steps:
+            _samples[_j] = {ys},
+            _j += 1
+"""
 
 
 @functools.cache
-def _straight_line_rk4(n: int):
-    """The step loop of :func:`rk4_path` written out for a state of n floats.
-
-    The generated ``run(rates, y, t0, dt, n_steps, stride, samples)``
-    keeps each component, stage rate and compensation term in a local
-    float and does the array loop's arithmetic in its order, so it returns
-    the same bits.  It is compiled on first use and kept for each n.
-    """
-    def each(template, sep=", "):
-        return sep.join(template.format(c=c) for c in range(n))
-
-    ys = each("y{c}")
-    step = "\n        ".join(
-        [f"{each('k1_{c}')}, = rates(t, {ys})",
-         f"{each('k2_{c}')}, = rates(t + half, {each('y{c} + half * k1_{c}')})",
-         f"{each('k3_{c}')}, = rates(t + half, {each('y{c} + half * k2_{c}')})",
-         f"{each('k4_{c}')}, = rates(t + dt, {each('y{c} + dt * k3_{c}')})"]
-        + [line.format(c=c) for c in range(n) for line in (
-            "e{c} = sixth * ((k1_{c} + 2.0 * (k2_{c} + k3_{c})) + k4_{c}) - c{c}",
-            "n{c} = y{c} + e{c}",
-            "c{c} = (n{c} - y{c}) - e{c}")])
-    source = f"""
-def run(rates, y, t0, dt, n_steps, stride, samples, isfinite=isfinite):
-    {ys}, = y
-    {each('c{c}')}, = {(0.0,) * n}
-    half, sixth = 0.5 * dt, dt / 6.0
-    j = 1
-    for i in range(1, n_steps + 1):
-        t = t0 + (i - 1) * dt
-        {step}
-        # the float form of y . 0: NaN exactly when some component is not finite
-        if not isfinite({each('n{c} * 0.0', ' + ')}):
-            raise diverged(t0 + i * dt, t, ({each('n{c}')},), ({ys},))
-        {each('y{c} = n{c}', '; ')}
-        if i % stride == 0 or i == n_steps:
-            samples[j] = {ys},
-            j += 1
-"""
-    return _define("run", source, f"<rk4 straight line n={n}>",
-                   isfinite=math.isfinite, diverged=_diverged)
+def _straight_line_rk4(text):
+    """The compiled :func:`_kernel_source` of ``text``: compiled on first
+    use and kept for each text, whatever the values of its constants."""
+    return define("run", _kernel_source(text), f"<rk4 straight line n={len(text[0])}>",
+                   _isfinite=math.isfinite, _diverged=_diverged)
 
 
 def _columns_stage(rates, y, out):
@@ -165,18 +177,20 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     """Classical fixed-step RK4 over a state of n components.
 
     ``rates(t, y_0, ..., y_{n-1})`` returns the n time derivatives at time
-    ``t``.  A 1-D state runs a straight-line loop on n Python floats.  A
-    stacked state of shape (..., n) runs an array loop that calls ``rates``
-    once a stage on the column views ``y[..., c]``; the float form must
-    therefore use elementwise arithmetic only, which gives the same bits on
-    floats and on arrays, since CPython floats and numpy's elementwise
-    loops both round IEEE doubles with no fused multiply-add.  Each member
-    of a stack then gets the same times and samples as its own run.
-    Returns ``(times, samples)`` where samples are recorded every
-    ``stride`` steps plus the final step.  The state update uses
-    compensated summation so that long runs stay truncation-limited rather
-    than roundoff-limited.  Raises :class:`IntegrationDiverged` if the
-    state stops being finite.
+    ``t``: a :class:`~zitterkit.forms.FloatForm` with a time name, or any
+    callable, which runs as the one-line form ``rates(t, y0, ..., y{n-1})``.
+    A 1-D state runs a straight-line loop on n Python floats with the form
+    spliced into each stage.  A stacked state of shape (..., n) runs an
+    array loop that calls ``rates`` once a stage on the column views
+    ``y[..., c]``; the float form must therefore use elementwise arithmetic
+    only, which gives the same bits on floats and on arrays, since CPython
+    floats and numpy's elementwise loops both round IEEE doubles with no
+    fused multiply-add.  Each member of a stack then gets the same times
+    and samples as its own run.  Returns ``(times, samples)`` where samples
+    are recorded every ``stride`` steps plus the final step.  The state
+    update uses compensated summation so that long runs stay
+    truncation-limited rather than roundoff-limited.  Raises
+    :class:`IntegrationDiverged` if the state stops being finite.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)
@@ -185,8 +199,11 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     samples = np.empty((len(steps),) + y.shape)
     samples[0] = y
     if y.ndim == 1:
+        form = (rates if isinstance(rates, FloatForm)
+                else FloatForm.call(rates, [f"y{c}" for c in range(y.size)], time="t"))
         with np.errstate(over="ignore", invalid="ignore"):
-            _straight_line_rk4(y.size)(rates, y.tolist(), t0, dt, n_steps, stride, samples)
+            _straight_line_rk4(form.text)(y.tolist(), t0, dt, n_steps, stride, samples,
+                                          *form.constants.values())
         return times, samples
     comp = np.zeros_like(y)
     k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
@@ -417,6 +434,9 @@ def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPoten
     }
 
 
+_HAMILTON_ARGS = tuple(f"{block}{mu}" for block in "xpqr" for mu in range(4))
+
+
 def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                        potential: ScalarPotential | None,
                        tau_end: float, dt: float, stride: int = 1) -> Trajectory:
@@ -431,22 +451,16 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
-    m, k1 = float(params.m), float(params.k1)
-
-    if potential is None:
-        def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
-            return (q0, q1, q2, q3, 0.0, 0.0, 0.0, 0.0, r0 / k1, r1 / k1, r2 / k1, r3 / k1,
-                    m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
-    else:
-        partials = potential.partials
-
-        def rates(tau, x0, x1, x2, x3, p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3):
-            g0, g1, g2, g3 = partials(x0, x1, x2, x3)
-            # -METRIC times the lower-index partials, one component at a time
-            return (q0, q1, q2, q3, -1.0 * g0, 1.0 * g1, 1.0 * g2, 1.0 * g3,
-                    r0 / k1, r1 / k1, r2 / k1, r3 / k1,
-                    m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3)
-
+    # pdot is -METRIC times the lower-index partials, one component at a time
+    pdot = ("-1.0 * g0, 1.0 * g1, 1.0 * g2, 1.0 * g3" if potential is not None
+            else "0.0, 0.0, 0.0, 0.0")
+    rates = FloatForm(
+        _HAMILTON_ARGS,
+        f"q0, q1, q2, q3, {pdot}, r0 / k1, r1 / k1, r2 / k1, r3 / k1, "
+        "m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3",
+        constants={"m": float(params.m), "k1": float(params.k1)}, time="tau")
+    if potential is not None:
+        rates = rates.spliced(potential.partials_form, ("g0", "g1", "g2", "g3"))
     times, samples = rk4_path(rates, s0.as_array(), s0.tau, dt, n_steps, stride)
     blocks = samples.reshape(len(times), 4, 4)
     records = _hamilton_records(params, times, blocks, potential)
@@ -454,31 +468,21 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                       blocks=blocks, records=records)
 
 
-@functools.cache
-def _general_n_rates(n: int):
-    """``make(neg_p, coeffs, scale)``, which returns the rates of
-    :func:`integrate_free_general_n` at order n >= 1.
+def _general_n_rates(n: int, neg_p, coeffs, scale: float) -> FloatForm:
+    """The float form of :func:`integrate_free_general_n` at order n >= 1.
 
-    The rates are the shifted stack y_4 .. y_{N-1}, N = 4(2n+1), then for
-    each component c the sum ``((neg_p[c] + coeffs[0] * y[4+c]) +
-    coeffs[1] * y[12+c] + ...) * scale``, written out term by term.  It is
-    compiled on first use and kept for each n.
+    The rates are the shifted stack y4 .. y{N-1}, N = 4(2n+1), then for
+    each component c the sum ``((p{c} + c0 * y{4+c}) + c1 * y{12+c} + ...)
+    * scale`` with ``p{c} = neg_p[c]`` and ``c{i} = coeffs[i]``, written
+    out term by term.
     """
-    size = 4 * (2 * n + 1)
-    ys = ", ".join(f"y{i}" for i in range(size))
+    args = tuple(f"y{i}" for i in range(4 * (2 * n + 1)))
     acc = ", ".join(
         "(" + " + ".join([f"p{c}"] + [f"c{i} * y{4 * (2 * i + 1) + c}" for i in range(n)])
         + ") * scale" for c in range(4))
-    source = f"""
-def make(neg_p, coeffs, scale):
-    p0, p1, p2, p3 = neg_p
-    {", ".join(f"c{i}" for i in range(n))}, = coeffs
-
-    def rates(t, {ys}):
-        return {", ".join(f"y{i}" for i in range(4, size))}, {acc}
-    return rates
-"""
-    return _define("make", source, f"<general-n rates n={n}>")
+    constants = {**{f"p{c}": v for c, v in enumerate(neg_p)},
+                 **{f"c{i}": v for i, v in enumerate(coeffs)}, "scale": scale}
+    return FloatForm(args, f"{', '.join(args[4:])}, {acc}", constants=constants, time="t")
 
 
 def integrate_free_general_n(params: ModelParams, x0: FourVector,
@@ -507,7 +511,7 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
     scale = (-1.0) ** (n + 1) / params.k[n]
     lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
     nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
-    rates = _general_n_rates(n)((-p.components).tolist(), lower_coeffs, scale)
+    rates = _general_n_rates(n, (-p.components).tolist(), lower_coeffs, scale)
     y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
     times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
     blocks = samples.reshape(len(times), nblocks, 4)

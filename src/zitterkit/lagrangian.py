@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .forms import FloatForm
 from .minkowski import METRIC, FourVector, dot, inner
 
 __all__ = [
@@ -49,23 +50,35 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
     return (values[..., :d] - values[..., d:]) / (2.0 * h)
 
 
+def coordinates(d: int) -> tuple:
+    """The names x0 .. x{d-1} of the coordinates of a potential's float form."""
+    return tuple(f"x{i}" for i in range(d))
+
+
 class Potential:
     """Scalar potential U on points of shape (..., D).
 
-    ``fn`` returns values of shape (...).  ``partials(x_1, ..., x_D)`` takes
-    the D coordinates separately, as floats or as arrays of one shape, and
-    returns the D plain partials dU/dx^i; it must give the same bits on
-    floats as on arrays of them, which is how every built-in defines its
-    gradient once.  A potential given by ``fn`` alone or with ``grad`` gets
-    a ``partials`` that stacks the coordinates into points (..., D) and
-    runs ``grad`` or, without it, one batched :func:`central_gradient`
-    call.  There is no per-point fallback: a result of the wrong shape
-    raises ValueError naming ``label``.
+    ``fn`` returns values of shape (...).  ``partials(x0, ..., x{D-1})``
+    takes the D coordinates separately, as floats or as arrays of one
+    shape, and returns the D plain partials dU/dx^i; it must give the same
+    bits on floats as on arrays of them.  Every built-in defines its
+    gradient once, as the :class:`~zitterkit.forms.FloatForm` ``partials``
+    over x0 .. x{D-1}, whose constants and temporaries start with ``u_``;
+    the integrators splice its text into their own float forms, and
+    ``partials`` is the callable compiled from it.  A potential given by
+    ``fn`` alone or with ``grad`` gets a ``partials`` that stacks the
+    coordinates into points (..., D) and runs ``grad`` or, without it, one
+    batched :func:`central_gradient` call; the integrators reach it through
+    the one-line form ``u_partials(x0, ..., x{D-1})``.  There is no
+    per-point fallback: a result of the wrong shape raises ValueError
+    naming ``label``.  Subclasses set the dimension ``dim``.
     """
+
+    dim: int
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
                  label: str = "potential", step: float = 1e-6,
-                 partials: Callable | None = None):
+                 partials: FloatForm | None = None):
         if grad is not None and partials is not None:
             raise ValueError(f"potential {label!r}: give grad or partials, not both")
         self._fn = fn
@@ -73,6 +86,14 @@ class Potential:
         self.partials = self._stacked_partials if partials is None else partials
         self.label = label
         self.step = float(step)
+
+    @property
+    def partials_form(self) -> FloatForm:
+        """The partials as a float form over x0 .. x{D-1}: a built-in's own,
+        or the one-line call of any other ``partials``."""
+        if isinstance(self.partials, FloatForm):
+            return self.partials
+        return FloatForm.call(self.partials, coordinates(self.dim), name="u_partials")
 
     def _stacked_partials(self, *coords):
         """The partials from ``grad`` or central differences: Python floats
@@ -114,7 +135,8 @@ class Potential:
     @classmethod
     def zero(cls) -> "Potential":
         return cls(lambda x: np.zeros(np.shape(x)[:-1]),
-                   partials=lambda *x: (0.0,) * len(x), label="zero")
+                   partials=FloatForm(coordinates(cls.dim), ", ".join(["0.0"] * cls.dim)),
+                   label="zero")
 
 
 @dataclass(frozen=True)
@@ -206,6 +228,8 @@ class ScalarPotential(Potential):
     """Scalar potential on spacetime: points are contravariant components
     (..., 4) and ``gradient`` returns the lower-index partials dU/dx^mu."""
 
+    dim = 4
+
     @classmethod
     def linear(cls, b) -> "ScalarPotential":
         """U(x) = b_mu x^mu for contravariant components b; the partials are
@@ -213,16 +237,18 @@ class ScalarPotential(Potential):
         b = np.asarray(b, dtype=float)
         if b.shape != (4,):
             raise ValueError(f"b must have 4 components, got shape {b.shape}")
-        partials = tuple((METRIC * b).tolist())
+        lowered = {f"u_b{mu}": value for mu, value in enumerate((METRIC * b).tolist())}
         return cls(lambda x: inner(b, np.asarray(x)),
-                   partials=lambda x0, x1, x2, x3: partials, label="linear")
+                   partials=FloatForm(coordinates(4), ", ".join(lowered), constants=lowered),
+                   label="linear")
 
     @classmethod
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
         """U(x) = (strength/2) |x_spatial|^2 with analytic gradient."""
         s = float(strength)
         return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
-                   partials=lambda x0, x1, x2, x3: (0.0, s * x1, s * x2, s * x3),
+                   partials=FloatForm(coordinates(4), "0.0, u_s * x1, u_s * x2, u_s * x3",
+                                      constants={"u_s": s}),
                    label="harmonic")
 
 

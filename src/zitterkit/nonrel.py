@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rk4_path, step_count
-from .lagrangian import ModelParams, Potential
+from .forms import FloatForm
+from .lagrangian import ModelParams, Potential, coordinates
 
 __all__ = [
     "KinState3D",
@@ -51,8 +52,9 @@ def _exp(z):
 
 
 def zbw_coefficient(params: ModelParams) -> float:
-    """Strength hbar^2 / (4 m c^4) of the non-Newtonian terms."""
-    return params.hbar**2 / (4.0 * params.m * params.c**4)
+    """Strength -k1 of the non-Newtonian terms; hbar^2 / (4 m c^4) for the
+    physical coefficient."""
+    return -params.k1
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,36 +78,40 @@ class Potential3D(Potential):
     """Scalar potential on 3-space: points have a trailing axis of size 3 and
     ``gradient`` returns dU/dx_i (see :class:`~zitterkit.lagrangian.Potential`)."""
 
+    dim = 3
+
     @classmethod
     def uniform_force(cls, force) -> "Potential3D":
         """Linear potential U = -F.x giving the constant force F."""
         f = _vec3(force, "force")
-        partials = tuple((-f).tolist())
+        partials = {f"u_f{i}": value for i, value in enumerate((-f).tolist())}
         return cls(lambda x: -(np.asarray(x) * f).sum(-1),
-                   partials=lambda x0, x1, x2: partials, label="uniform")
+                   partials=FloatForm(coordinates(3), ", ".join(partials), constants=partials),
+                   label="uniform")
 
     @classmethod
     def harmonic(cls, strength: float) -> "Potential3D":
         s = float(strength)
         return cls(lambda x: 0.5 * s * (np.asarray(x) ** 2).sum(-1),
-                   partials=lambda x0, x1, x2: (s * x0, s * x1, s * x2),
+                   partials=FloatForm(coordinates(3), "u_s * x0, u_s * x1, u_s * x2",
+                                      constants={"u_s": s}),
                    label="harmonic")
 
     @classmethod
     def gaussian_barrier(cls, height: float, width: float) -> "Potential3D":
         u0 = float(height)
         sig2 = float(width) ** 2
-        two_sig2, neg_sig2 = 2.0 * sig2, -sig2
+        two_sig2 = 2.0 * sig2
 
         def fn(x):
             return u0 * np.exp(-(np.asarray(x, dtype=float) ** 2).sum(-1) / two_sig2)
 
         # (-x) / sig2 * U as x / (-sig2) * U; the squares are summed in the
         # order of fn's .sum(-1), (x0 x0 + x1 x1) + x2 x2
-        def partials(x0, x1, x2):
-            e = u0 * _exp(-((x0 * x0 + x1 * x1) + x2 * x2) / two_sig2)
-            return x0 / neg_sig2 * e, x1 / neg_sig2 * e, x2 / neg_sig2 * e
-
+        partials = FloatForm(
+            coordinates(3), "x0 / u_neg_sig2 * u_e, x1 / u_neg_sig2 * u_e, x2 / u_neg_sig2 * u_e",
+            ["u_e = u_height * u_exp(-((x0 * x0 + x1 * x1) + x2 * x2) / u_two_sig2)"],
+            {"u_height": u0, "u_two_sig2": two_sig2, "u_neg_sig2": -sig2, "u_exp": _exp})
         return cls(fn, partials=partials, label="gaussian")
 
     @classmethod
@@ -114,16 +120,13 @@ class Potential3D(Potential):
         u0 = float(height)
         sig = float(width)
 
-        def _sigmoid(x0):
-            return 1.0 / (1.0 + _exp(-x0 / sig))
-
         def fn(x):
-            return u0 * _sigmoid(np.asarray(x, dtype=float)[..., 0])
+            return u0 * (1.0 / (1.0 + _exp(-np.asarray(x, dtype=float)[..., 0] / sig)))
 
-        def partials(x0, x1, x2):
-            s = _sigmoid(x0)
-            return u0 * s * (1.0 - s) / sig, 0.0, 0.0
-
+        partials = FloatForm(
+            coordinates(3), "u_height * u_s * (1.0 - u_s) / u_width, 0.0, 0.0",
+            ["u_s = 1.0 / (1.0 + u_exp(-x0 / u_width))"],
+            {"u_height": u0, "u_width": sig, "u_exp": _exp})
         return cls(fn, partials=partials, label="step")
 
 
@@ -211,17 +214,20 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
     """RK4 on the 12-dimensional first-order reduction of the force law.
 
     The highest derivative is solved for algebraically:
-    djdt = (4 m c^4 / hbar^2) (F(x) - m a) with F = -grad U.
+    djdt = (F(x) - m a) / (-k1) with F = -grad U, where 1 / (-k1) is
+    4 m c^4 / hbar^2 for the physical coefficient.  Raises ValueError
+    unless the model is the first-order theory, n = 1.
     """
+    if params.n != 1:
+        raise ValueError(f"the non-relativistic integrator requires n=1, got n={params.n}")
     n_steps = step_count(t_end, dt)
-    neg_m, inv_lam = -float(params.m), 1.0 / zbw_coefficient(params)
-    partials = pot.partials
-
-    def rates(t, x1, x2, x3, v1, v2, v3, a1, a2, a3, j1, j2, j3):
-        g1, g2, g3 = partials(x1, x2, x3)
-        # (-m a) - g is (-g) - m a bit for bit, signed zeros included
-        return (v1, v2, v3, a1, a2, a3, j1, j2, j3, inv_lam * (neg_m * a1 - g1),
-                inv_lam * (neg_m * a2 - g2), inv_lam * (neg_m * a3 - g3))
+    # (-m a) - g is (-g) - m a bit for bit, signed zeros included
+    rates = FloatForm(
+        coordinates(3) + ("v0", "v1", "v2", "a0", "a1", "a2", "j0", "j1", "j2"),
+        "v0, v1, v2, a0, a1, a2, j0, j1, j2, inv_lam * (neg_m * a0 - g0), "
+        "inv_lam * (neg_m * a1 - g1), inv_lam * (neg_m * a2 - g2)",
+        constants={"neg_m": -float(params.m), "inv_lam": 1.0 / zbw_coefficient(params)},
+        time="t").spliced(pot.partials_form, ("g0", "g1", "g2"))
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
     times, samples = rk4_path(rates, y0, s0.t, dt, n_steps, stride)
@@ -239,12 +245,11 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
     v0 = _vec3(v0, "v0")
-    m, neg_m = np.array(params.m), -float(params.m)
-    partials = pot.partials
-
-    def rates(t, x1, x2, x3, v1, v2, v3):
-        g1, g2, g3 = partials(x1, x2, x3)
-        return v1, v2, v3, g1 / neg_m, g2 / neg_m, g3 / neg_m  # (-g) / m
+    m = np.array(params.m)
+    rates = FloatForm(coordinates(3) + ("v0", "v1", "v2"),
+                      "v0, v1, v2, g0 / neg_m, g1 / neg_m, g2 / neg_m",  # (-g) / m
+                      constants={"neg_m": -float(params.m)},
+                      time="t").spliced(pot.partials_form, ("g0", "g1", "g2"))
 
     y0 = np.concatenate([x0, v0])
     times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)

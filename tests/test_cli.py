@@ -159,7 +159,8 @@ def test_csv_rows_match_per_value_format(tmp_path, monkeypatch, prec, body):
     assert lines[1:] == _format_table_reference(rows, prec) + [""]
 
 
-@pytest.mark.parametrize("name", ["superluminal", "general_n2", "nonrel_gaussian_barrier"])
+@pytest.mark.parametrize("name", ["superluminal", "general_n2", "nonrel_gaussian_barrier",
+                                  "nonrel_circle", "nonrel_harmonic"])
 def test_shipped_scenario_csv_matches_recorded_digest(tmp_path, name):
     with open(os.path.join(SCENARIO_DIR, "..", "perfbench", "expected.json"),
               encoding="utf-8") as fh:
@@ -192,6 +193,30 @@ def test_nonrel_scenario_runs(tmp_path, capsys):
     assert "barrier intervals" in text
     header = out.read_text().splitlines()[0]
     assert header.startswith("t,x1,x2,x3,v1") and header.endswith("T_newton,T_zbw,T,U,E_total")
+
+
+@pytest.mark.parametrize("overrides", [["model.n=0"],
+                                       ["model.n=2", "model.k=[1.0,-1.25,0.25]"]])
+def test_nonrel_scenario_of_another_order_exits_2(tmp_path, capsys, overrides):
+    out = tmp_path / "circle.csv"
+    sets = [arg for value in overrides for arg in ("--set", value)]
+    assert main(["run", scenario_path("nonrel_circle.json"),
+                 "--set", f"output.path={out}", *sets]) == 2
+    err = capsys.readouterr().err
+    assert "requires n=1, got n=" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_nonrel_scenario_honours_model_k(tmp_path, capsys):
+    runs = {}
+    for name, sets in (("default", []), ("k5", ["--set", "model.k=[1.0,-5.0]"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", scenario_path("nonrel_circle.json"), "--set", f"output.path={out}",
+                     "--set", "integrator.t_end=0.5", *sets]) == 0
+        drift = re.search(r"total energy rel drift\s+(\S+)", capsys.readouterr().out)
+        assert float(drift.group(1)) <= 1e-8
+        runs[name] = out.read_bytes()
+    assert runs["k5"] != runs["default"]
 
 
 def test_summary_names_a_rounded_final_time(tmp_path, capsys):

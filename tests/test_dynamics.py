@@ -6,6 +6,7 @@ import pytest
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
     IntegrationDiverged,
+    _kernel_source,
     check_superluminal,
     estimate_frequency,
     eval_free,
@@ -380,6 +381,8 @@ def test_rk4_path_finite_check_does_not_overflow():
 
 
 def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch):
+    # a user potential is reached through the call of its partials, once a
+    # stage; a built-in's partials are spliced into the kernel instead
     gradients, partials_calls = [], []
     gradient = Potential3D.gradient
 
@@ -388,7 +391,7 @@ def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch
         return gradient(self, xs)
 
     monkeypatch.setattr(Potential3D, "gradient", counting_gradient)
-    pot = Potential3D.harmonic(1.0)
+    pot = Potential3D(_user_fn, grad=_user_grad, label="user_grad")
     partials = pot.partials
 
     def counting_partials(*x):
@@ -401,6 +404,9 @@ def test_integrate_nr_calls_the_component_gradient_four_times_a_step(monkeypatch
     assert len(traj) == 138
     assert len(gradients) == 0
     assert len(partials_calls) == 4 * 137
+    assert "u_partials(x0, x1, x2)" in _kernel_source(_nr_rates(monkeypatch, pot).text)
+    builtin = _kernel_source(_nr_rates(monkeypatch, Potential3D.harmonic(1.0)).text)
+    assert "partials(" not in builtin and "u_s * x0" in builtin
 
 
 def _textbook(deriv):

@@ -39,6 +39,34 @@ def test_zbw_coefficient():
     assert zbw_coefficient(ModelParams(m=1.0, hbar=0.5)) == pytest.approx(1 / 16)
 
 
+def test_zbw_coefficient_is_minus_k1():
+    assert zbw_coefficient(ModelParams(m=1.0, k=(1.0, -5.0))) == 5.0
+    # for the physical coefficient, the same bits as hbar^2 / (4 m c^4)
+    rng = np.random.default_rng(7)
+    for hbar, m, c in 10.0 ** rng.uniform(-3, 3, size=(2000, 3)):
+        params = ModelParams(m=m, hbar=hbar, c=c)
+        assert zbw_coefficient(params) == hbar**2 / (4.0 * m * c**4)
+
+
+@pytest.mark.parametrize("params", [ModelParams(m=1.0, n=0),
+                                    ModelParams(m=1.0, n=2, k=(1.0, -1.25, 0.25))])
+def test_integrate_nr_requires_the_first_order_theory(params):
+    with pytest.raises(ValueError, match=f"requires n=1, got n={params.n}"):
+        integrate_nr(circle_state(), params, Potential3D.zero(), 0.1, 1e-3)
+
+
+def test_integrate_nr_honours_the_coefficient_k1():
+    params = ModelParams(m=1.0, k=(1.0, -5.0))
+    s0 = KinState3D(t=0.0, x=[0.5, 0, 0], v=[0, 0.3, 0], a=[0.1, 0, 0], j=[0, 0, 0])
+    pot = Potential3D.harmonic(1.0)
+    traj = integrate_nr(s0, params, pot, 2.0, 1e-3, stride=10)
+    assert not np.array_equal(traj.xs, integrate_nr(s0, PARAMS, pot, 2.0, 1e-3, stride=10).xs)
+    assert np.abs(traj.e_total - traj.e_total[0]).max() <= 1e-10 * abs(traj.e_total[0])
+    # the zbw kinetic term carries -k1 = 5
+    a, j, v = traj.accs[-1], traj.jerks[-1], traj.vs[-1]
+    assert traj.e_zbw[-1] == pytest.approx(-5.0 * (0.5 * (a @ a) - j @ v), rel=1e-12)
+
+
 def test_nr_momentum_examples():
     s = KinState3D(t=0, x=[0, 0, 0], v=[0.1, 0, 0], a=[0, 0.2, 0], j=[-0.4, 0, 0])
     np.testing.assert_allclose(nr_momentum(PARAMS, s), [0, 0, 0], atol=1e-15)
