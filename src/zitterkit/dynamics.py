@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -108,7 +109,10 @@ def _kernel_source(text) -> str:
     and does the array loop's arithmetic in its order, so it returns the
     same bits.  Each of the four stages assigns the stage time and values to
     the form's names, runs its lines and assigns its result to the stage's
-    rates; the kernel's own names start with ``_``.
+    rates; the kernel's own names start with ``_``.  A sample is packed as n
+    native doubles straight into the bytes of the C-ordered float64
+    ``samples`` (``_pack``, a ``struct.Struct.pack_into``), which stores the
+    same bits as ``samples[j] = ...`` at a third of its cost.
     """
     args, time, lines, result, constants = text
     check_names(text)
@@ -138,6 +142,7 @@ def run({params}):
     {ys}, = _y
     {", ".join(each('_c{c}'))}, = {(0.0,) * n}
     _half, _sixth = 0.5 * _dt, _dt / 6.0
+    _bytes = memoryview(_samples).cast("B")
     _j = 1
     for _i in range(1, _n_steps + 1):
         _t = _t0 + (_i - 1) * _dt
@@ -147,7 +152,7 @@ def run({params}):
             raise _diverged(_t0 + _i * _dt, _t, ({", ".join(each('_n{c}'))},), ({ys},))
         {"; ".join(each('_y{c} = _n{c}'))}
         if _i % _stride == 0 or _i == _n_steps:
-            _samples[_j] = {ys},
+            _pack(_bytes, _j * {8 * n}, {ys})
             _j += 1
 """
 
@@ -156,8 +161,10 @@ def run({params}):
 def _straight_line_rk4(text):
     """The compiled :func:`_kernel_source` of ``text``: compiled on first
     use and kept for each text, whatever the values of its constants."""
-    return define("run", _kernel_source(text), f"<rk4 straight line n={len(text[0])}>",
-                   _isfinite=math.isfinite, _diverged=_diverged)
+    n = len(text[0])
+    return define("run", _kernel_source(text), f"<rk4 straight line n={n}>",
+                  _isfinite=math.isfinite, _diverged=_diverged,
+                  _pack=struct.Struct(f"={n}d").pack_into)
 
 
 def _columns_stage(rates, y, out):

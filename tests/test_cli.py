@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zitterkit import dynamics
+from zitterkit import cli, dynamics
 from zitterkit.brackets import verify_appendix
 from zitterkit.cli import (
     SCENARIO_SCHEMA,
     _run_free,
+    _write_csv,
     _write_table,
     apply_override,
     bracket_suite,
@@ -159,8 +160,55 @@ def test_csv_rows_match_per_value_format(tmp_path, monkeypatch, prec, body):
     assert lines[1:] == _format_table_reference(rows, prec) + [""]
 
 
-@pytest.mark.parametrize("name", ["superluminal", "general_n2", "nonrel_gaussian_barrier",
-                                  "nonrel_circle", "nonrel_harmonic"])
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("prec", [1, 6, 17])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 4097])
+def test_split_csv_is_the_same_bytes_on_any_part_count(tmp_path, prec, n_rows):
+    rng = np.random.default_rng(n_rows)
+    rows = (rng.standard_normal((n_rows, len(SPECIAL_ROW)))
+            * np.logspace(-300, 300, len(SPECIAL_ROW)))
+    rows[::7] = SPECIAL_ROW
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    expected = ",".join(header) + "\n" + "".join(
+        line + "\n" for line in _format_table_reference(rows, prec))
+    for parts in (1, 2, 3, 5):
+        path = tmp_path / f"table{parts}.csv"
+        _write_csv(str(path), header, rows, prec, parts)
+        assert path.read_text(encoding="utf-8") == expected, parts
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, error", [("child", OSError), ("parent", RuntimeError)])
+def test_split_csv_failure_leaves_no_child_and_no_part(tmp_path, monkeypatch, failing, error):
+    parts_dir = tmp_path / "parts"
+    parts_dir.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(parts_dir))
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def broken(fh, line, rows):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise RuntimeError("formatter failed")
+        format_rows(fh, line, rows)
+
+    monkeypatch.setattr(cli, "_format_rows", broken)
+    path = tmp_path / "table.csv"
+    rows = np.arange(3000.0 * 4).reshape(3000, 4)
+    with pytest.raises(error) as info:
+        _write_csv(str(path), ["a", "b", "c", "d"], rows, 17, 3)
+    if failing == "child":
+        assert str(path) in str(info.value) and "exited with status 1" in str(info.value)
+    _assert_no_child_left()
+    assert list(parts_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["parts", "table.csv"]
+
+
+@pytest.mark.parametrize("name", ["free_cmf", "free_boosted", "superluminal", "general_n2",
+                                  "nonrel_gaussian_barrier", "nonrel_circle",
+                                  "nonrel_harmonic"])
 def test_shipped_scenario_csv_matches_recorded_digest(tmp_path, name):
     with open(os.path.join(SCENARIO_DIR, "..", "perfbench", "expected.json"),
               encoding="utf-8") as fh:
@@ -318,6 +366,40 @@ def test_non_finite_integrator_value_exits_2(tmp_path, capsys, field):
     assert f"error: {field} must be positive and finite, got inf" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _run_must_not_integrate(monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda scn: pytest.fail("the run was started"))
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
+    _run_must_not_integrate(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["run", scenario_path("superluminal.json"),
+                 "--set", f"output.path={out}"]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario field output/path: {out}: directory {out.parent} does not exist" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write into a read-only directory")
+def test_output_into_a_read_only_directory_exits_2(tmp_path, monkeypatch, capsys):
+    _run_must_not_integrate(monkeypatch)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o500)
+    try:
+        out = locked / "x.csv"
+        assert main(["run", scenario_path("superluminal.json"),
+                     "--set", f"output.path={out}"]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario field output/path: {out}: directory {locked} is not writable" in err
+        assert "Traceback" not in err
+        assert list(locked.iterdir()) == []
+    finally:
+        locked.chmod(0o700)
 
 
 def test_overflowing_step_count_exits_2(capsys, tmp_path):
