@@ -72,6 +72,21 @@ def test_run_missing_file_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_run_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"kind": "free", "note": "\u00e9"}'.encode("latin-1"))
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"could not read scenario file {bad}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
 def test_run_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "free",')
@@ -313,13 +328,41 @@ def test_hamilton_scenario(tmp_path, potential):
 
 
 POTENTIAL_PARAMETERS = {
-    "nonrel": {"uniform": {"force": [0.1, 0, 0]}, "harmonic": {"k": 1.0},
+    "nonrel": {"zero": {}, "uniform": {"force": [0.1, 0, 0]}, "harmonic": {"k": 1.0},
                "gaussian": {"height": 0.5, "width": 0.3},
                "step": {"height": 0.5, "width": 0.3}},
-    "hamilton": {"linear": {"b": [0, 0.01, 0, 0]}, "harmonic": {"k": 0.05}},
+    "hamilton": {"zero": {}, "linear": {"b": [0, 0.01, 0, 0]}, "harmonic": {"k": 0.05}},
 }
+POTENTIAL_TYPES = [(kind, ptype) for kind, types in POTENTIAL_PARAMETERS.items()
+                   for ptype in types]
 MISSING_PARAMETERS = [(kind, ptype, field) for kind, types in POTENTIAL_PARAMETERS.items()
                       for ptype, fields in types.items() for field in fields]
+
+
+@pytest.mark.parametrize("kind, ptype", POTENTIAL_TYPES,
+                         ids=["-".join(case) for case in POTENTIAL_TYPES])
+def test_every_potential_type_runs_from_the_cli(tmp_path, capsys, kind, ptype):
+    from zitterkit.cli import _INITIAL_SCHEMAS
+
+    assert set(POTENTIAL_TYPES) == {
+        (k, t) for k, schema in _INITIAL_SCHEMAS.items()
+        if "potential" in schema["properties"]
+        for t in schema["properties"]["potential"]["properties"]["type"]["enum"]}
+    spec = {"type": ptype, **POTENTIAL_PARAMETERS[kind][ptype]}
+    if kind == "nonrel":
+        initial = {"x": [1, 0, 0], "v": [0, 0.1, 0]}
+    else:
+        initial = {"x": [0, 0, 0, 0], "p": [1, 0, 0, 0], "q": [1, 0.1, 0, 0],
+                   "pi": [0, 0, -0.05, 0]}
+    scn = {"kind": kind, "model": {"mass": 1.0},
+           "initial": {**initial, "potential": spec},
+           "integrator": {"dt": 0.001, "t_end": 0.01}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path)]) == 0
+    label = "none" if (kind, ptype) == ("hamilton", "zero") else ptype
+    out = capsys.readouterr().out
+    assert f" potential={label} samples=11" in out.splitlines()[0]
 
 
 @pytest.mark.parametrize("kind, ptype, field", MISSING_PARAMETERS,
@@ -413,6 +456,32 @@ def test_overflowing_step_count_exits_2(capsys, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_device_exits_4(capsys):
+    assert main(["run", scenario_path("superluminal.json"),
+                 "--set", "output.path=/dev/full"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: could not write /dev/full: No space left on device\n"
+
+
+def test_failed_formatting_process_exits_4(tmp_path, monkeypatch, capsys):
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def broken(fh, line, rows):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed")
+        format_rows(fh, line, rows)
+
+    monkeypatch.setattr(cli, "_format_rows", broken)
+    monkeypatch.setattr(cli, "_csv_parts", lambda n_rows: 2)
+    out = tmp_path / "out.csv"
+    assert main(["run", str(short_free_scenario(tmp_path)), "--set", f"output.path={out}"]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: could not write {re.escape(str(out))}: the process "
+                        r"formatting rows \d+\.\.\d+ exited with status 1\n", err)
+    _assert_no_child_left()
+
+
 def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("integration started with an invalid precision")
@@ -448,6 +517,12 @@ def test_divergent_scenario_exits_3(tmp_path, capsys, run):
     # the line names how many state entries went non-finite and the first
     assert re.search(r"\(last good time \S+; non-finite entries: [1-9]\d*, "
                      r"first at index \(\d+,\)\)$", err.strip())
+
+
+def test_schema_command_output_is_pinned(capsys):
+    assert main(["schema"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "ac69699b51587385a8a6451dec56fa8b2d5c81f2e7b894031a783f0581081d55"
 
 
 def test_schema_command_prints_valid_json(capsys):
