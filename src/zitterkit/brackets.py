@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import Residuals, residual
 from .lagrangian import ModelParams, PhasePoint, central_gradient, hamiltonian_rows
 from .minkowski import inner, wedge
 
@@ -110,7 +111,7 @@ def canonical_spin_function(mu: int, nu: int) -> PhaseFunction:
 
 
 @dataclass(frozen=True)
-class AppendixBracketReport:
+class AppendixBracketReport(Residuals):
     """Residual maxima of the bracket-form evolution equations at one point.
 
     Every residual compares ``BRACKET_ORIENTATION * {H, G}`` against the
@@ -118,27 +119,11 @@ class AppendixBracketReport:
     the spin-tensor evolution.
     """
 
-    orientation: float
-    h: float
-    momentum_max: float
-    position_max: float
-    velocity_max: float
-    pi_max: float
-    spin_max: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.momentum_max, self.position_max, self.velocity_max,
-                   self.pi_max, self.spin_max)
-
-    def as_dict(self) -> dict:
-        return {
-            "{H,p} momentum conservation": self.momentum_max,
-            "{H,x} position rate": self.position_max,
-            "{H,q} velocity rate": self.velocity_max,
-            "{H,pi} first-order momentum rate": self.pi_max,
-            "{H,S} spin-tensor rate": self.spin_max,
-        }
+    momentum_max: float = residual("{H,p} momentum conservation")
+    position_max: float = residual("{H,x} position rate")
+    velocity_max: float = residual("{H,q} velocity rate")
+    pi_max: float = residual("{H,pi} first-order momentum rate")
+    spin_max: float = residual("{H,S} spin-tensor rate")
 
 
 def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> AppendixBracketReport:
@@ -160,6 +145,5 @@ def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> Appe
     expected = wedge(s.p.components, s.q.components)
     r_s = max(abs(rate(canonical_spin_function(mu, nu)) - expected[mu, nu])
               for mu in range(4) for nu in range(mu + 1, 4))
-    return AppendixBracketReport(orientation=sgn, h=h, momentum_max=r_p,
-                                 position_max=r_x, velocity_max=r_q,
+    return AppendixBracketReport(momentum_max=r_p, position_max=r_x, velocity_max=r_q,
                                  pi_max=r_pi, spin_max=r_s)

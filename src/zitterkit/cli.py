@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,10 +174,12 @@ def _validate_scenario(scn: dict):
     from jsonschema.exceptions import best_match  # the error jsonschema.validate raises
 
     error = best_match(_validator().iter_errors(scn))
-    if error is None:
+    section = ()
+    if error is None:  # the initial section, against the schema of its kind
         error = best_match(_validator(scn["kind"]).iter_errors(scn.get("initial", {})))
+        section = ("initial",)
     if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        path = "/".join(str(p) for p in (*section, *error.absolute_path)) or "(top level)"
         raise ValidationFailure(f"scenario field {path}: {error.message}") from error
     if scn["kind"] not in ("verify",) and "integrator" not in scn:
         raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
@@ -573,16 +575,11 @@ def dirac_suite(seed: int = 1, points: int = 50, onshell_points: int = 20,
                        lines=lines + off_lines + on_lines)
 
 
-_MONITOR_TOLS = {
-    "momentum drift": 1e-12,
-    "energy rel drift": 1e-8,
-    "p.v constraint": 1e-8,
-    "on-shell constraint": 1e-8,
-    "velocity-equation residual": 1e-6,
-    "dual-form residual": 1e-6,
-    "spin-momentum identity": 1e-8,
-    "spin vector drift": 1e-8,
-}
+# the tolerance of each monitor residual, in the report's own shape
+_MONITOR_TOLS = dynamics.MonitorReport(
+    momentum_drift=1e-12, energy_rel_drift=1e-8, pv_constraint=1e-8,
+    onshell_constraint=1e-8, zbw_residual=1e-6, dual_residual=1e-6,
+    spin_momentum_residual=1e-8, spin_drift=1e-8)
 
 
 def _checked(report, tols: dict, lines: list[str]) -> bool:
@@ -606,8 +603,8 @@ def monitor_suite() -> SuiteResult:
     traj = dynamics.integrate_hamilton(sol.initial_phase_point(), params, None,
                                        10.0 * math.pi, 1e-3)
     steps = len(traj) - 1
-    tols = {**_MONITOR_TOLS,
-            "momentum drift": _MONITOR_TOLS["momentum drift"] * max(1.0, steps / 1e4)}
+    drift = _MONITOR_TOLS.momentum_drift * max(1.0, steps / 1e4)
+    tols = replace(_MONITOR_TOLS, momentum_drift=drift).as_dict()
     lines.append(f"  standard run ({steps} steps):")
     ok = _checked(dynamics.monitor(traj), tols, lines)
 
@@ -694,10 +691,12 @@ def main(argv=None) -> int:
                              indent=2))
             return 0
         if args.command == "verify":
-            return run_verify(args.suite, args.seed, args.points)
-        scn = load_scenario(args.scenario)
-        for spec in args.overrides:
-            apply_override(scn, spec)
+            scn = {"kind": "verify",
+                   "verify": {"suite": args.suite, "seed": args.seed, "points": args.points}}
+        else:
+            scn = load_scenario(args.scenario)
+            for spec in args.overrides:
+                apply_override(scn, spec)
         _validate_scenario(scn)
         return run_scenario(scn)
     except ValueError as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Residuals, residual
 from .minkowski import METRIC, FourVector, check_on_shell, dot, lower
 
 __all__ = [
@@ -104,7 +105,7 @@ def _frob(mat: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class HeisenbergReport:
+class HeisenbergReport(Residuals):
     """Frobenius residual maxima of the four operator evolution identities:
 
     (a) rate of p^mu vanishes;
@@ -113,24 +114,10 @@ class HeisenbergReport:
     (d) rate of the acceleration equals -4 p^2 g^mu + 4 p^mu slash(p).
     """
 
-    momentum_rate_max: float
-    spin_rate_max: float
-    acceleration_identity_max: float
-    acceleration_rate_max: float
-    orientation_note: str = "rates computed as i[G, H]"
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.momentum_rate_max, self.spin_rate_max,
-                   self.acceleration_identity_max, self.acceleration_rate_max)
-
-    def as_dict(self) -> dict:
-        return {
-            "(a) momentum rate": self.momentum_rate_max,
-            "(b) spin-operator rate": self.spin_rate_max,
-            "(c) acceleration operator": self.acceleration_identity_max,
-            "(d) acceleration rate": self.acceleration_rate_max,
-        }
+    momentum_rate_max: float = residual("(a) momentum rate")
+    spin_rate_max: float = residual("(b) spin-operator rate")
+    acceleration_identity_max: float = residual("(c) acceleration operator")
+    acceleration_rate_max: float = residual("(d) acceleration rate")
 
 
 def verify_heisenberg(p: FourVector, m: float) -> HeisenbergReport:
@@ -175,25 +162,13 @@ def onshell_projector(p: FourVector, m: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OnshellReport:
+class OnshellReport(Residuals):
     """Subspace residuals of the operator velocity equation on shell."""
 
     eigenspace_dim: int
-    projector_residual: float
-    acceleration_rate_subspace_max: float
-    zbw_identity_max: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.projector_residual, self.acceleration_rate_subspace_max,
-                   self.zbw_identity_max)
-
-    def as_dict(self) -> dict:
-        return {
-            "projector consistency": self.projector_residual,
-            "acceleration rate on subspace": self.acceleration_rate_subspace_max,
-            "velocity equation on subspace": self.zbw_identity_max,
-        }
+    projector_residual: float = residual("projector consistency")
+    acceleration_rate_subspace_max: float = residual("acceleration rate on subspace")
+    zbw_identity_max: float = residual("velocity equation on subspace")
 
 
 def verify_onshell_zbw(p: FourVector, m: float, tol: float = 1e-10) -> OnshellReport:

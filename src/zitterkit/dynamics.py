@@ -12,7 +12,7 @@ import functools
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "IntegrationDiverged",
     "FreeSolution",
     "Trajectory",
+    "Residuals",
+    "residual",
     "MonitorReport",
     "SpeedReport",
     "TimeDilation",
@@ -526,34 +528,42 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
                       blocks=blocks, momentum=p)
 
 
+def residual(label: str):
+    """A residual field of a :class:`Residuals` report, listed as ``label``."""
+    return field(metadata={"label": label})
+
+
+class Residuals:
+    """Base of the residual reports: each field declared with
+    :func:`residual` is one residual maximum.  The labels are printed
+    output, in field order."""
+
+    def as_dict(self) -> dict:
+        """Label -> value of every residual field, in field order."""
+        return {f.metadata["label"]: getattr(self, f.name)
+                for f in fields(self) if "label" in f.metadata}
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.as_dict().values())
+
+
 @dataclass(frozen=True)
-class MonitorReport:
+class MonitorReport(Residuals):
     """Maxima of conservation drifts and identity residuals along a run.
 
     Derivative-based residuals use 5-point central differences on the
     uniformly spaced samples, endpoints excluded.
     """
 
-    momentum_drift: float
-    energy_rel_drift: float
-    pv_constraint: float
-    onshell_constraint: float
-    zbw_residual: float
-    dual_residual: float
-    spin_momentum_residual: float
-    spin_drift: float
-
-    def as_dict(self) -> dict:
-        return {
-            "momentum drift": self.momentum_drift,
-            "energy rel drift": self.energy_rel_drift,
-            "p.v constraint": self.pv_constraint,
-            "on-shell constraint": self.onshell_constraint,
-            "velocity-equation residual": self.zbw_residual,
-            "dual-form residual": self.dual_residual,
-            "spin-momentum identity": self.spin_momentum_residual,
-            "spin vector drift": self.spin_drift,
-        }
+    momentum_drift: float = residual("momentum drift")
+    energy_rel_drift: float = residual("energy rel drift")
+    pv_constraint: float = residual("p.v constraint")
+    onshell_constraint: float = residual("on-shell constraint")
+    zbw_residual: float = residual("velocity-equation residual")
+    dual_residual: float = residual("dual-form residual")
+    spin_momentum_residual: float = residual("spin-momentum identity")
+    spin_drift: float = residual("spin vector drift")
 
 
 def _d5(values: np.ndarray, h: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from zitterkit.cli import (
     load_scenario,
     main,
 )
+from zitterkit.dirac_check import verify_heisenberg, verify_onshell_zbw
 from zitterkit.lagrangian import ModelParams, PhasePoint
 from zitterkit.minkowski import FourVector
 from zitterkit.rng import SplitMix64
@@ -564,6 +565,105 @@ def test_verify_scenario_kind(tmp_path, capsys):
     path.write_text(json.dumps(scn))
     assert main(["run", str(path)]) == 0
     assert "dirac suite" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda scn: scn.pop("initial"), "initial: 'p' is a required property"),
+    (lambda scn: scn["initial"].update(cos_amp=[0.0, 0.1, 0.0]),
+     "initial/cos_amp: [0.0, 0.1, 0.0] is too short"),
+], ids=["missing", "short"])
+def test_initial_section_error_names_its_field(tmp_path, capsys, edit, message):
+    path = short_free_scenario(tmp_path)
+    scn = json.loads(path.read_text())
+    edit(scn)
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: scenario field {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["brackets", "dirac"])
+@pytest.mark.parametrize("points", [0, -3])
+def test_verify_with_no_points_exits_2(capsys, suite, points):
+    assert main(["verify", "--suite", suite, f"--points={points}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: scenario field verify/points: {points} is less than the minimum of 1\n"
+
+
+_MONITOR_LINES = (
+    "    momentum drift                 # (tol #) ok",
+    "    energy rel drift               # (tol #) ok",
+    "    p.v constraint                 # (tol #) ok",
+    "    on-shell constraint            # (tol #) ok",
+    "    velocity-equation residual     # (tol #) ok",
+    "    dual-form residual             # (tol #) ok",
+    "    spin-momentum identity         # (tol #) ok",
+    "    spin vector drift              # (tol #) ok",
+)
+
+VERIFY_LAYOUT = (
+    "verification suites (seed=#):",
+    "bracket suite: seed=# points=# h=# orientation=-# tol=#",
+    "  {H,p} momentum conservation          max #  ok",
+    "  {H,x} position rate                  max #  ok",
+    "  {H,q} velocity rate                  max #  ok",
+    "  {H,pi} first-order momentum rate     max #  ok",
+    "  {H,S} spin-tensor rate               max #  ok",
+    "dirac suite: seed=# points=# onshell=#",
+    "  anticommutation relations            max #  ok",
+    "  (a) momentum rate                    max #  ok",
+    "  (b) spin-operator rate               max #  ok",
+    "  (c) acceleration operator            max #  ok",
+    "  (d) acceleration rate                max #  ok",
+    "  projector consistency                max #  ok",
+    "  acceleration rate on subspace        max #  ok",
+    "  velocity equation on subspace        max #  ok",
+    "monitor suite: standard (cmf) and Newtonian free runs",
+    "  standard run (# steps):",
+    *_MONITOR_LINES,
+    "  Newtonian run (no oscillation):",
+    *_MONITOR_LINES,
+    "correspondence: the classical monitors and the operator checks validate the same "
+    "three evolution equations (momentum conservation, spin-tensor rate, velocity "
+    "equation) on the same model (m=#, physical k#)",
+    "verification result: PASS",
+)
+
+
+def test_verify_report_layout_is_pinned(capsys):
+    # the labels are printed output that perfbench parses: pin their text,
+    # order and indentation, with every number masked
+    assert main(["verify", "--suite", "all", "--seed", "1", "--points", "5"]) == 0
+    out = capsys.readouterr().out
+    masked = tuple(re.sub(r"\d+(\.\d+)?(e[-+]\d+)?", "#", line) for line in out.splitlines())
+    assert masked == VERIFY_LAYOUT
+
+
+def test_residual_reports_list_their_labels_in_order():
+    p = FourVector(math.sqrt(1.25), 0.5, 0.0, 0.0)
+    sol = dynamics.make_free_solution(ModelParams(m=1.0), p, FourVector(0, 0, 0.1, 0),
+                                      FourVector(0, 0, 0, 0.1))
+    traj = dynamics.integrate_hamilton(sol.initial_phase_point(), sol.params, None, 0.1, 1e-2)
+    state = PhasePoint.from_array(SplitMix64(2).uniforms(16, -1.0, 1.0))
+    reports = [
+        (dynamics.monitor(traj), (
+            "momentum drift", "energy rel drift", "p.v constraint", "on-shell constraint",
+            "velocity-equation residual", "dual-form residual", "spin-momentum identity",
+            "spin vector drift")),
+        (verify_appendix(ModelParams(m=1.0), state), (
+            "{H,p} momentum conservation", "{H,x} position rate", "{H,q} velocity rate",
+            "{H,pi} first-order momentum rate", "{H,S} spin-tensor rate")),
+        (verify_heisenberg(FourVector(0.3, -0.7, 0.2, 0.9), 1.3), (
+            "(a) momentum rate", "(b) spin-operator rate", "(c) acceleration operator",
+            "(d) acceleration rate")),
+        (verify_onshell_zbw(p, 1.0), (
+            "projector consistency", "acceleration rate on subspace",
+            "velocity equation on subspace")),
+    ]
+    for report, labels in reports:
+        residuals = report.as_dict()
+        assert tuple(residuals) == labels
+        assert report.max_residual == max(residuals.values())
 
 
 def test_bracket_suite_result():
