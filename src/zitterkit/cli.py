@@ -148,7 +148,8 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "suite": {"enum": list(_SUITES)},
-                "seed": {"type": "integer"},
+                # the seeds whose SplitMix64 streams differ
+                "seed": {"type": "integer", "minimum": 0, "maximum": (1 << 64) - 1},
                 "points": {"type": "integer", "minimum": 1},
             },
         },

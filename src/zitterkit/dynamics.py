@@ -95,26 +95,31 @@ def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
-    """The error for a step to ``t_next`` that left ``state`` non-finite."""
+    """The error for a step to ``t_next`` that left ``state`` non-finite;
+    both states are component tuples, of floats or of member columns,
+    stacked on the last axis so that ``nonfinite`` names the member first."""
+    state = np.stack(state, -1)
     return IntegrationDiverged(
         f"state became non-finite at t={t_next:g}", last_time=last_time,
         nonfinite=tuple(map(tuple, np.argwhere(~np.isfinite(state)).tolist())),
-        last_state=np.array(last_state, dtype=float))
+        last_state=np.stack(last_state, -1))
 
 
-def _kernel_source(text) -> str:
+def _kernel_source(text, stacked: bool = False) -> str:
     """The source of the step loop of :func:`rk4_path` written out for the
     float form of ``text`` (see :attr:`FloatForm.text`).
 
     The generated ``run(y, t0, dt, n_steps, stride, samples, *constants)``
-    keeps each component, stage rate and compensation term in a local float
-    and does the array loop's arithmetic in its order, so it returns the
-    same bits.  Each of the four stages assigns the stage time and values to
-    the form's names, runs its lines and assigns its result to the stage's
-    rates; the kernel's own names start with ``_``.  A sample is packed as n
-    native doubles straight into the bytes of the C-ordered float64
-    ``samples`` (``_pack``, a ``struct.Struct.pack_into``), which stores the
-    same bits as ``samples[j] = ...`` at a third of its cost.
+    keeps each component, stage rate and compensation term in a local: a
+    float for a 1-D state, the column of every member for a stacked one.
+    Each of the four stages assigns the stage time and values to the form's
+    names, runs its lines and assigns its result to the stage's rates; the
+    kernel's own names start with ``_``.  The two sources differ only in
+    the line that stores a sample: a float sample is packed as n native
+    doubles straight into the bytes of the C-ordered float64 ``samples``
+    (``_pack``, a ``struct.Struct.pack_into``), which stores the same bits
+    as ``samples[j] = ...`` at a third of its cost; the columns are stacked
+    into ``samples[j]``.
     """
     args, time, lines, result, constants = text
     check_names(text)
@@ -128,6 +133,8 @@ def _kernel_source(text) -> str:
                 + list(lines) + assignments(each(f"_k{k}_{{c}}"), result))
 
     ys = ", ".join(each("_y{c}"))
+    store = (f"_samples[_j] = _stack(({ys},), -1)" if stacked
+             else f"_pack(_bytes, _j * {8 * n}, {ys})")
     step = "\n        ".join(
         stage(1, "_t", "_y{c}")
         + stage(2, "_t + _half", "_y{c} + _half * _k1_{c}")
@@ -154,32 +161,21 @@ def run({params}):
             raise _diverged(_t0 + _i * _dt, _t, ({", ".join(each('_n{c}'))},), ({ys},))
         {"; ".join(each('_y{c} = _n{c}'))}
         if _i % _stride == 0 or _i == _n_steps:
-            _pack(_bytes, _j * {8 * n}, {ys})
+            {store}
             _j += 1
 """
 
 
 @functools.cache
-def _straight_line_rk4(text):
-    """The compiled :func:`_kernel_source` of ``text``: compiled on first
-    use and kept for each text, whatever the values of its constants."""
+def _straight_line_rk4(text, stacked: bool = False):
+    """The compiled :func:`_kernel_source` of ``text`` for floats or for
+    columns: compiled on first use and kept for each text and execution,
+    whatever the values of its constants."""
     n = len(text[0])
-    return define("run", _kernel_source(text), f"<rk4 straight line n={n}>",
-                  _isfinite=math.isfinite, _diverged=_diverged,
-                  _pack=struct.Struct(f"={n}d").pack_into)
-
-
-def _columns_stage(rates, y, out):
-    """``f(t)``, which writes ``rates(t, *columns of y)`` into the columns of
-    ``out``; a constant rate such as 0.0 broadcasts over its column, and a
-    wrong number of rates raises ValueError, as it does in the kernel."""
-    columns = [y[..., c] for c in range(y.shape[-1])]
-    targets = [out[..., c] for c in range(y.shape[-1])]
-
-    def f(t):
-        for target, value in zip(targets, rates(t, *columns), strict=True):
-            target[...] = value
-    return f
+    return define("run", _kernel_source(text, stacked), f"<rk4 straight line n={n}>",
+                  _isfinite=(lambda z: np.isfinite(z).all()) if stacked else math.isfinite,
+                  _diverged=_diverged, _pack=struct.Struct(f"={n}d").pack_into,
+                  _stack=np.stack)
 
 
 def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
@@ -188,72 +184,35 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     ``rates(t, y_0, ..., y_{n-1})`` returns the n time derivatives at time
     ``t``: a :class:`~zitterkit.forms.FloatForm` with a time name, or any
     callable, which runs as the one-line form ``rates(t, y0, ..., y{n-1})``.
-    A 1-D state runs a straight-line loop on n Python floats with the form
-    spliced into each stage.  A stacked state of shape (..., n) runs an
-    array loop that calls ``rates`` once a stage on the column views
-    ``y[..., c]``; the float form must therefore use elementwise arithmetic
-    only, which gives the same bits on floats and on arrays, since CPython
-    floats and numpy's elementwise loops both round IEEE doubles with no
-    fused multiply-add.  Each member of a stack then gets the same times
-    and samples as its own run.  Returns ``(times, samples)`` where samples
-    are recorded every ``stride`` steps plus the final step.  The state
-    update uses compensated summation so that long runs stay
-    truncation-limited rather than roundoff-limited.  Raises
-    :class:`IntegrationDiverged` if the state stops being finite.
+    The form is spliced into each stage of one generated straight-line
+    loop.  A 1-D state runs it on n Python floats; a stacked state of shape
+    (..., n) runs the same source on the column views ``y[..., c]``.  The
+    float form must therefore use elementwise arithmetic only, which gives
+    the same bits on floats and on arrays, since CPython floats and numpy's
+    elementwise loops both round IEEE doubles with no fused multiply-add.
+    Each member of a stack then gets the same times and samples as its own
+    run.  Returns ``(times, samples)`` where samples are recorded every
+    ``stride`` steps plus the final step.  The state update uses
+    compensated summation so that long runs stay truncation-limited rather
+    than roundoff-limited.  Raises :class:`IntegrationDiverged` if the
+    state stops being finite.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)
     y = np.array(y0, dtype=float, order="C")
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ValueError(f"a state needs at least one component on its last axis, "
+                         f"got shape {y.shape}")
     times = t0 + steps * dt
     samples = np.empty((len(steps),) + y.shape)
     samples[0] = y
-    if y.ndim == 1:
-        form = (rates if isinstance(rates, FloatForm)
-                else FloatForm.call(rates, [f"y{c}" for c in range(y.size)], time="t"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            _straight_line_rk4(form.text)(y.tolist(), t0, dt, n_steps, stride, samples,
-                                          *form.constants.values())
-        return times, samples
-    comp = np.zeros_like(y)
-    k1, k2, k3, k4, stage, inc, ynew = (np.empty_like(y) for _ in range(7))
-    # flat views that follow y and ynew through the swaps, for the check
-    yflat, ynewflat, zeros = y.reshape(-1), ynew.reshape(-1), np.zeros(y.size)
-    j = 1
-    half = 0.5 * dt
-    # the same constants as 0-d arrays, so no ufunc call converts a float
-    c_half, c_dt, c_sixth, c_two = (np.array(c) for c in (half, dt, dt / 6.0, 2.0))
-    f1, f1_next = _columns_stage(rates, y, k1), _columns_stage(rates, ynew, k1)
-    f2, f3, f4 = (_columns_stage(rates, stage, k) for k in (k2, k3, k4))
-    add, mul, sub, isfinite = np.add, np.multiply, np.subtract, math.isfinite
+    form = (rates if isinstance(rates, FloatForm)
+            else FloatForm.call(rates, [f"y{c}" for c in range(y.shape[-1])], time="t"))
+    stacked = y.ndim > 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            t = t0 + (i - 1) * dt
-            f1(t)
-            add(y, mul(c_half, k1, stage), stage)
-            f2(t + half)
-            add(y, mul(c_half, k2, stage), stage)
-            f3(t + half)
-            add(y, mul(c_dt, k3, stage), stage)
-            f4(t + dt)
-            add(k2, k3, inc)
-            mul(c_two, inc, inc)
-            add(k1, inc, inc)
-            add(inc, k4, inc)
-            mul(c_sixth, inc, inc)
-            sub(inc, comp, inc)
-            add(y, inc, ynew)
-            sub(ynew, y, comp)
-            sub(comp, inc, comp)
-            y, ynew = ynew, y
-            yflat, ynewflat = ynewflat, yflat
-            f1, f1_next = f1_next, f1
-            # y . 0 is NaN exactly when some element of y is not finite,
-            # and a product with zero cannot overflow
-            if not isfinite(yflat.dot(zeros)):
-                raise _diverged(t0 + i * dt, t, y, ynew)
-            if i % stride == 0 or i == n_steps:
-                samples[j] = y
-                j += 1
+        _straight_line_rk4(form.text, stacked)(
+            np.moveaxis(y, -1, 0) if stacked else y.tolist(), t0, dt, n_steps, stride,
+            samples, *form.constants.values())
     return times, samples
 
 
@@ -433,7 +392,7 @@ def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPoten
     sdot_p = k1 * (q * inner(adot, p)[:, None] - adot * pv[:, None])
     w = q - p / m
     return {
-        "energy": hamiltonian_rows(params, blocks.reshape(len(times), 16)) + u,
+        "energy": hamiltonian_rows(params, blocks.reshape(len(times), 16)) - u,
         "pv": pv,
         "onshell": inner(p, p),
         "spin": spin_vector(wedge(q, pi)),
@@ -451,17 +410,19 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                        tau_end: float, dt: float, stride: int = 1) -> Trajectory:
     """RK4 integration of the n=1 canonical equations.
 
-    The evolution is xdot = q, pdot^mu = -g^{mu nu} dU/dx^nu (the potential
+    The evolution is xdot = q, pdot^mu = g^{mu nu} dU/dx^nu (the potential
     gives the lower-index partials), qdot = pi/k1 and pidot = -(p - m q); for
-    the physical coefficient pi/k1 equals -(4 m c^4 / hbar^2) pi.  Samples are
+    the physical coefficient pi/k1 equals -(4 m c^4 / hbar^2) pi.  The
+    spatial force is -grad U, as in :func:`~zitterkit.nonrel.integrate_nr`,
+    and the ``energy`` record is the conserved H_0 - U.  Samples are
     recorded every ``stride`` steps and the final time lands within dt of
     ``tau_end``.
     """
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
     n_steps = step_count(tau_end, dt)
-    # pdot is -METRIC times the lower-index partials, one component at a time
-    pdot = ("-1.0 * g0, 1.0 * g1, 1.0 * g2, 1.0 * g3" if potential is not None
+    # pdot is METRIC times the lower-index partials, one component at a time
+    pdot = ("1.0 * g0, -1.0 * g1, -1.0 * g2, -1.0 * g3" if potential is not None
             else "0.0, 0.0, 0.0, 0.0")
     rates = FloatForm(
         _HAMILTON_ARGS,

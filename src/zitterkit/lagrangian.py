@@ -226,14 +226,16 @@ class PhasePoint:
 
 class ScalarPotential(Potential):
     """Scalar potential on spacetime: points are contravariant components
-    (..., 4) and ``gradient`` returns the lower-index partials dU/dx^mu."""
+    (..., 4) and ``gradient`` returns the lower-index partials dU/dx^mu.
+    The Lagrangian L_0 + U (:func:`lagrangian_value`) gives the force
+    pdot^mu = g^{mu nu} dU/dx^nu, whose spatial part is -grad U."""
 
     dim = 4
 
     @classmethod
     def linear(cls, b) -> "ScalarPotential":
         """U(x) = b_mu x^mu for contravariant components b; the partials are
-        the constant lowered vector METRIC * b."""
+        the constant lowered vector METRIC * b, and the force pdot = b."""
         b = np.asarray(b, dtype=float)
         if b.shape != (4,):
             raise ValueError(f"b must have 4 components, got shape {b.shape}")
@@ -244,7 +246,8 @@ class ScalarPotential(Potential):
 
     @classmethod
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
-        """U(x) = (strength/2) |x_spatial|^2 with analytic gradient."""
+        """U(x) = (strength/2) |x_spatial|^2 with analytic gradient; its
+        force -strength x_spatial confines for strength > 0."""
         s = float(strength)
         return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
                    partials=FloatForm(coordinates(4), "0.0, u_s * x1, u_s * x2, u_s * x3",
@@ -266,7 +269,9 @@ def _alternating_even_sum(params: ModelParams, stack: Sequence[FourVector]) -> n
 
 def lagrangian_value(params: ModelParams, stack: Sequence[FourVector],
                      potential_energy: float = 0.0) -> float:
-    """Lagrangian sum over (1/2) k_i <v^(i), v^(i)> minus the potential.
+    """Lagrangian sum over (1/2) k_i <v^(i), v^(i)> plus the potential: the
+    metric's minus sign on the spatial kinetic terms makes L_0 + U the
+    non-relativistic T - U up to an overall sign, with force -grad U.
 
     ``stack`` lists the velocity and its proper-time derivatives, lowest
     order first; at least n+1 entries are required.
@@ -275,7 +280,7 @@ def lagrangian_value(params: ModelParams, stack: Sequence[FourVector],
     total = 0.0
     for i in range(params.n + 1):
         total += 0.5 * params.k[i] * dot(stack[i], stack[i])
-    return total - potential_energy
+    return total + potential_energy
 
 
 def canonical_momentum(params: ModelParams, stack: Sequence[FourVector]) -> FourVector:
@@ -303,8 +308,9 @@ def hamiltonian_rows(params: ModelParams, y) -> np.ndarray:
 
 def hamiltonian(params: ModelParams, s: PhasePoint, potential_energy: float = 0.0) -> float:
     """Conserved scalar Hamiltonian of the n=1 theory at one state,
-    :func:`hamiltonian_rows` plus the potential energy U."""
-    return float(hamiltonian_rows(params, s.as_array())) + potential_energy
+    :func:`hamiltonian_rows` minus the potential energy U, the Legendre
+    transform of :func:`lagrangian_value`'s L_0 + U."""
+    return float(hamiltonian_rows(params, s.as_array())) - potential_energy
 
 
 def newton_law_residual(params: ModelParams, accel_stack: Sequence[FourVector],

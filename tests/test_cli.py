@@ -523,7 +523,7 @@ def test_divergent_scenario_exits_3(tmp_path, capsys, run):
 def test_schema_command_output_is_pinned(capsys):
     assert main(["schema"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "ac69699b51587385a8a6451dec56fa8b2d5c81f2e7b894031a783f0581081d55"
+    assert digest == "b29d52e267f96d7ce85e635220f6c2f784989c59f2651f88110a72ed71ac4dbe"
 
 
 def test_schema_command_prints_valid_json(capsys):
@@ -588,6 +588,23 @@ def test_verify_with_no_points_exits_2(capsys, suite, points):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: scenario field verify/points: {points} is less than the minimum of 1\n"
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2**64, "18446744073709551616 is greater than the maximum of 18446744073709551615"),
+    (-1, "-1 is less than the minimum of 0"),
+])
+def test_verify_with_a_seed_outside_64_bits_exits_2(capsys, seed, message):
+    # SplitMix64 keeps 64 bits of its seed, so 2^64 would draw the stream of 0
+    assert main(["verify", "--suite", "brackets", "--points=2", f"--seed={seed}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: scenario field verify/seed: {message}\n"
+
+
+def test_verify_runs_at_the_largest_seed(capsys):
+    assert main(["verify", "--suite", "brackets", "--points=2", f"--seed={2**64 - 1}"]) == 0
+    assert "seed=18446744073709551615" in capsys.readouterr().out
 
 
 _MONITOR_LINES = (

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,12 @@ def test_rk4_path_rejects_negative_step_count():
         rk4_path(_anharmonic, np.zeros(4), 0.0, 0.1, -1, 1)
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+def test_rk4_path_rejects_a_state_without_components(shape):
+    with pytest.raises(ValueError, match=f"at least one component.*{re.escape(str(shape))}"):
+        rk4_path(_anharmonic, np.zeros(shape), 0.0, 0.1, 3, 1)
+
+
 @pytest.mark.parametrize("shape", [(4,), (2, 4)])
 def test_rk4_path_rejects_rates_of_the_wrong_length(shape):
     def three_rates(t, x0, x1, v0, v1):
@@ -278,10 +285,35 @@ def test_rk4_path_stacked_states_match_separate_runs():
         assert np.array_equal(samples[:, k, :], samples_k)
 
 
+def test_rk4_path_multi_axis_stack_matches_separate_runs():
+    y0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(2, 3, 4))
+    y0[0, 1, 2] = -0.0
+    times, samples = rk4_path(_anharmonic, y0, 0.25, 0.01, 60, 7)
+    assert samples.shape == (len(times), 2, 3, 4)
+    for i in range(2):
+        for j in range(3):
+            times_ij, samples_ij = rk4_path(_anharmonic, y0[i, j], 0.25, 0.01, 60, 7)
+            assert np.array_equal(times, times_ij)
+            _assert_bit_identical(samples[:, i, j], samples_ij)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_multi_axis_stack_divergence_names_the_member_first(value):
+    y0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(2, 3, 4))
+    with pytest.raises(IntegrationDiverged) as err:
+        rk4_path(_injecting(value, 0.42, ((1, 2), 3)), y0, 0.0, 0.1, 20, 3)
+    with pytest.raises(IntegrationDiverged) as ref:
+        rk4_path(_injecting(value, 0.42, 3), y0[1, 2], 0.0, 0.1, 20, 3)
+    assert err.value.nonfinite == ((1, 2, 3),)
+    assert (err.value.last_time, str(err.value)) == (ref.value.last_time, str(ref.value))
+    assert err.value.last_state.shape == (2, 3, 4)
+    _assert_bit_identical(err.value.last_state[1, 2], ref.value.last_state)
+
+
 def _injecting(value, t_bad, where):
     """Float form of y' = -y/10 that sets the rate of component ``where``,
-    or of ``where = (member, component)`` in a stack, to ``value`` from
-    time ``t_bad`` on."""
+    or of ``where = (member, component)`` in a stack, the member an index
+    or a tuple of them, to ``value`` from time ``t_bad`` on."""
     def rates(t, *y):
         out = [-0.1 * c for c in y]
         if t >= t_bad:
@@ -312,8 +344,8 @@ def test_rk4_path_raises_on_the_step_a_component_turns_non_finite(value):
 
 
 def _straight_line_divergence(rates, y0, dt=10.0, n_steps=100, stride=1):
-    """The divergence of a straight-line run from the 1-D state y0, which
-    must match, field by field, that of the array loop on the one-member
+    """The divergence of a run from the 1-D state y0, on floats, which must
+    match, field by field, that of the run on the columns of the one-member
     stack y0[None]."""
     with pytest.raises(IntegrationDiverged) as ref:
         rk4_path(rates, y0[None], 0.0, dt, n_steps, stride)
@@ -374,7 +406,7 @@ def test_rk4_path_finite_check_does_not_overflow():
         assert not np.isfinite(np.dot(y0, y0))
     rates = _injecting(0.0, np.inf, 0)  # y' = -y/10, never injects
     ref_times, ref_samples = _reference_rk4(_on_columns(rates), y0, 0.0, 0.1, 20, 3)
-    # the straight-line loop on the state and the array loop on a stack of it
+    # the loop on the floats of the state and on the columns of a stack of it
     for state in (y0, y0[None]):
         times, samples = rk4_path(rates, state, 0.0, 0.1, 20, 3)
         assert np.array_equal(times, ref_times)
@@ -500,9 +532,9 @@ def _rates_of(monkeypatch, target, integrate):
 
 
 def _assert_stack_equals_straight_line_runs(rates, y0, t0):
-    """A stack y0 runs the array loop, which calls ``rates`` on columns,
-    each member the straight-line loop, which calls it on floats, 4 times a
-    step each; every member's samples are the same bits."""
+    """A stack y0 runs the kernel on columns, which calls ``rates`` on
+    them, each member the kernel on floats, which calls it on floats, 4
+    times a step each; every member's samples are the same bits."""
     calls = []
 
     def counting_rates(t, *y):
@@ -608,7 +640,7 @@ def test_energy_record_is_the_one_hamiltonian(name):
                               0.5, 1e-3, stride=25)
     u = np.zeros(len(traj)) if potential is None else potential.value_many(traj.xs)
     energy = traj.records["energy"]
-    assert np.array_equal(energy, hamiltonian_function(PARAMS)(traj.blocks.reshape(-1, 16)) + u)
+    assert np.array_equal(energy, hamiltonian_function(PARAMS)(traj.blocks.reshape(-1, 16)) - u)
     assert energy.tolist() == [hamiltonian(PARAMS, s, float(v)) for s, v in zip(traj.states, u)]
 
 
@@ -627,7 +659,6 @@ def _hamilton_starts():
 def test_integrate_hamilton_matches_the_textbook_closure(name):
     potential = HAMILTON_POTENTIALS[name]
     m, k1 = PARAMS.m, PARAMS.k1
-    neg_metric = -METRIC
 
     def deriv(tau, y, out):
         q = y[8:12]
@@ -635,7 +666,7 @@ def test_integrate_hamilton_matches_the_textbook_closure(name):
         if potential is None:
             out[4:8] = 0.0
         else:
-            np.multiply(neg_metric, potential.gradient(y[0:4]), out=out[4:8])
+            np.multiply(METRIC, potential.gradient(y[0:4]), out=out[4:8])
         np.divide(y[12:16], k1, out=out[8:12])
         np.subtract(m * q, y[4:8], out=out[12:16])
 
@@ -756,6 +787,33 @@ def test_forced_run_conserves_energy():
     assert np.abs(energy - energy[0]).max() <= 1e-8 * abs(energy[0])
     # momentum is no longer conserved once a force acts
     assert np.abs(traj.ps - traj.ps[0]).max() > 1e-6
+
+
+def test_harmonic_spatial_confines():
+    # U = (k/2)|x|^2 with k > 0 pulls a particle at rest at x^1 = 1 back;
+    # with the opposite sign convention x^1 reached 42 by tau = 20
+    s0 = PhasePoint(x=FourVector(0, 1, 0, 0), p=FourVector(1, 0, 0, 0),
+                    q=FourVector(1, 0, 0, 0), pi=FourVector.zero())
+    traj = integrate_hamilton(s0, PARAMS, ScalarPotential.harmonic_spatial(0.05), 20.0, 1e-3)
+    assert np.abs(traj.xs[:, 1]).max() <= 1.01
+    energy = traj.records["energy"]
+    assert np.abs(energy - energy[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0.05, 0.5])
+def test_rest_frame_hamilton_run_reproduces_integrate_nr(k):
+    # with p^0 = q^0 = m and pi^0 = 0 the time components stay put and the
+    # spatial blocks obey the non-relativistic equations: p = m v - k1 j
+    # and pi = k1 a, under the same force -grad U
+    x, v, a, j = (np.array(c) for c in ([1, .2, 0], [0, .3, .1], [.1, 0, .2], [0, -.1, .05]))
+    m, k1 = PARAMS.m, PARAMS.k1
+    nr = integrate_nr(KinState3D(t=0.0, x=x, v=v, a=a, j=j), PARAMS, Potential3D.harmonic(k),
+                      10.0, 1e-3)
+    s0 = PhasePoint(x=FourVector(0, *x), p=FourVector(m, *(m * v - k1 * j)),
+                    q=FourVector(1, *v), pi=FourVector(0, *(k1 * a)))
+    traj = integrate_hamilton(s0, PARAMS, ScalarPotential.harmonic_spatial(k), 10.0, 1e-3)
+    assert np.array_equal(traj.times, nr.times)
+    assert np.abs(traj.xs[:, 1:] - nr.xs).max() <= 1e-14 * np.abs(nr.xs).max()
 
 
 def test_forced_run_stays_array_first(monkeypatch):

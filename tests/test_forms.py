@@ -115,8 +115,8 @@ COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]),
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_straight_line_kernel_equals_the_array_loop(case):
-    # the kernel splices the form's text; the array loop calls the function
-    # compiled from the same text on the columns of a one-member stack
+    # the kernel splices the form's text; the same kernel runs on floats and
+    # on the columns of a one-member stack
     form = CASES[case]()
     assert isinstance(form, FloatForm)
     n = len(form.args)
@@ -132,6 +132,20 @@ def test_straight_line_kernel_equals_the_array_loop(case):
         assert np.array_equal(np.signbit(samples), np.signbit(ref_samples[:, 0]))
 
     check()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacks_and_floats_run_one_source(case):
+    # the two executions are bindings of one generated step loop; only the
+    # line that stores a sample is written for each
+    text = CASES[case]().text
+    floats = dynamics._kernel_source(text).splitlines()
+    columns = dynamics._kernel_source(text, True).splitlines()
+    assert len(floats) == len(columns)
+    differ = [(a.strip(), b.strip()) for a, b in zip(floats, columns) if a != b]
+    assert len(differ) == 1
+    assert differ[0][0].startswith("_pack(_bytes, _j * ")
+    assert differ[0][1].startswith("_samples[_j] = _stack((_y0, ")
 
 
 def test_one_kernel_serves_every_strength_and_mass():

