@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -171,17 +172,65 @@ def _validator(kind: str | None = None):
     return validator_for(schema)(schema)
 
 
-def _validate_scenario(scn: dict):
-    from jsonschema.exceptions import best_match  # the error jsonschema.validate raises
+# jsonschema's type checks: a bool is no number, and an integral float is an integer
+_TYPES = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+          "string": lambda v: isinstance(v, str), "boolean": lambda v: isinstance(v, bool),
+          "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+          "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                                or isinstance(v, float) and v.is_integer())}
+# each keyword of the scenario schemas: the type it applies to (None: all) and,
+# as jsonschema has it, the check of value v against the keyword's value r in
+# schema s.  The bounds negate jsonschema's rejections, so NaN passes them all.
+_KEYWORDS = {
+    "$schema": (None, lambda v, r, s: True), "title": (None, lambda v, r, s: True),
+    "type": (None, lambda v, r, s: _TYPES[r](v)),
+    "enum": (None, lambda v, r, s: any(v == e and isinstance(v, bool) is isinstance(e, bool)
+                                       for e in r)),
+    "properties": ("object", lambda v, r, s: all(_conforms(v[k], r[k]) for k in r if k in v)),
+    "required": ("object", lambda v, r, s: all(k in v for k in r)),
+    "additionalProperties": ("object", lambda v, r, s: all(
+        _conforms(v[k], r) for k in v if k not in s.get("properties", {}))),
+    "items": ("array", lambda v, r, s: all(_conforms(x, r) for x in v)),
+    "minItems": ("array", lambda v, r, s: len(v) >= r),
+    "maxItems": ("array", lambda v, r, s: len(v) <= r),
+    "minimum": ("number", lambda v, r, s: not v < r),
+    "maximum": ("number", lambda v, r, s: not v > r),
+    "exclusiveMinimum": ("number", lambda v, r, s: not v <= r),
+}
 
-    error = best_match(_validator().iter_errors(scn))
-    section = ()
-    if error is None:  # the initial section, against the schema of its kind
-        error = best_match(_validator(scn["kind"]).iter_errors(scn.get("initial", {})))
-        section = ("initial",)
-    if error is not None:
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` is valid under ``schema``, decided as jsonschema decides
+    it.  A keyword missing from _KEYWORDS raises KeyError: no edit goes unchecked."""
+    if isinstance(schema, bool):
+        return schema
+    for key, rule in schema.items():
+        applies, check = _KEYWORDS[key]
+        if (applies is None or _TYPES[applies](value)) and not check(value, rule, schema):
+            return False
+    return True
+
+
+def _validate_scenario(scn: dict):
+    """Raise ValidationFailure unless ``scn`` can run; make its integer fields ints.
+    _conforms decides; jsonschema is imported only to word a rejection."""
+    if not (_conforms(scn, SCENARIO_SCHEMA)
+            and _conforms(scn.get("initial", {}), _INITIAL_SCHEMAS[scn["kind"]])):
+        from jsonschema.exceptions import best_match  # the error jsonschema.validate raises
+
+        error = best_match(_validator().iter_errors(scn))
+        section = ()
+        if error is None:  # the initial section, against the schema of its kind
+            error = best_match(_validator(scn["kind"]).iter_errors(scn.get("initial", {})))
+            section = ("initial",)
+        if error is None:
+            raise RuntimeError("_conforms rejected a scenario that jsonschema accepts")
         path = "/".join(str(p) for p in (*section, *error.absolute_path)) or "(top level)"
         raise ValidationFailure(f"scenario field {path}: {error.message}") from error
+    for section, spec in SCENARIO_SCHEMA["properties"].items():  # 3.0 is an integer: 3
+        for name, rule in spec.get("properties", {}).items():
+            if rule.get("type") == "integer" and name in scn.get(section, {}):
+                scn[section][name] = int(scn[section][name])
     if scn["kind"] not in ("verify",) and "integrator" not in scn:
         raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
     potential = scn.get("initial", {}).get("potential")

@@ -607,6 +607,27 @@ def test_verify_runs_at_the_largest_seed(capsys):
     assert "seed=18446744073709551615" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, value", [
+    ("integrator.stride", 3), ("output.precision", 17), ("output.precision", 6),
+    ("model.n", 1), ("verify.points", 3), ("verify.seed", 5),
+])
+def test_an_integral_float_runs_as_its_int(tmp_path, capsys, field, value):
+    # JSON Schema counts 3.0 as an integer, so the run must read it as 3
+    if field.startswith("verify."):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"kind": "verify",
+                                    "verify": {"suite": "brackets", "seed": 1, "points": 2}}))
+    else:
+        path = short_free_scenario(tmp_path)
+    written = []
+    for spelling in (f"{value}", f"{value:.1f}"):
+        assert main(["run", str(path), "--set", f"{field}={spelling}"]) == 0
+        csv = tmp_path / "out.csv"
+        written.append((capsys.readouterr(), csv.read_bytes() if csv.exists() else None))
+        csv.unlink(missing_ok=True)
+    assert written[0] == written[1]
+
+
 _MONITOR_LINES = (
     "    momentum drift                 # (tol #) ok",
     "    energy rel drift               # (tol #) ok",
