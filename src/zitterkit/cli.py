@@ -336,17 +336,65 @@ def _precision(scn: dict) -> int:
 ROWS_PER_PART = 1024
 
 
-def _csv_parts(n_rows: int) -> int:
-    """How many processes format a CSV table of ``n_rows`` rows: one per CPU
-    this process may run on, with at least ROWS_PER_PART rows each, and one
-    where ``os.fork`` is missing."""
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where ``os.fork`` is missing,
+    so that nothing is split across processes there."""
     if not hasattr(os, "fork"):
         return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_rows // ROWS_PER_PART))
+        return os.cpu_count() or 1
+
+
+def _csv_parts(n_rows: int) -> int:
+    """How many processes format a CSV table of ``n_rows`` rows: one per
+    usable CPU, with at least ROWS_PER_PART rows each."""
+    return max(1, min(_usable_cpus(), n_rows // ROWS_PER_PART))
+
+
+def _fork_jobs(jobs: list, collect) -> list:
+    """Run ``jobs[0]()`` here while each later ``jobs[k](part)`` runs in a
+    forked child; ``part`` is the child's own unnamed temporary file, UTF-8
+    text without newline translation, whose ``buffer`` takes bytes.
+
+    A child leaves through ``os._exit``: 0 once its job has returned and
+    ``part`` is flushed, 1 if the job raised.  Then the children are reaped
+    in order, calling ``collect(k, part, exit_code)`` with ``part`` rewound.
+    Returns what ``jobs[0]`` and each ``collect`` returned.  No child
+    outlives the call and every part is closed, whether it returns or raises.
+    """
+    import signal
+    import tempfile
+
+    parent = os.getpid()
+    children = []  # [pid, part] of each later job; pid None once reaped
+    try:
+        for job in jobs[1:]:
+            part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+            children.append([None, part])
+            pid = os.fork()
+            if pid == 0:
+                job(part)
+                part.flush()
+                os._exit(0)
+            children[-1][0] = pid
+        values = [jobs[0]()]
+        for k, child in enumerate(children, start=1):
+            pid, part = child
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            part.seek(0)
+            values.append(collect(k, part, os.waitstatus_to_exitcode(status)))
+        return values
+    finally:
+        if os.getpid() != parent:  # a child whose job raised leaves without unwinding
+            os._exit(1)
+        for pid, part in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            part.close()
 
 
 def _format_rows(fh, line: str, rows: np.ndarray):
@@ -360,55 +408,31 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts:
     """Write ``rows`` under ``header`` to ``path`` as CSV, each value to
     ``prec`` significant digits, formatted by ``parts`` processes.
 
-    The rows are cut into ``parts`` contiguous slices.  This process formats
-    the first straight into ``path``; a forked child formats each other
-    slice into its own unnamed temporary file, which this process appends
-    in order once that child has exited.  Every row is formatted alike in
-    every process, so the bytes do not depend on ``parts``.  Raises OSError
-    naming ``path`` if a child fails.  No child outlives the call, whether
-    it returns or raises, and the file is complete when it returns.
+    The rows are cut into ``parts`` contiguous slices.  Through _fork_jobs,
+    this process formats the first straight into ``path`` and a child
+    formats each other slice into its own part, which is appended in order.
+    Every row is formatted alike in every process, so the bytes do not
+    depend on ``parts``.  Raises OSError naming ``path`` if a child fails;
+    the file is complete when it returns.
     """
     import errno
     import shutil
-    import signal
-    import tempfile
 
     line = ",".join([f"%.{prec}g"] * len(header)) + "\n"
     bounds = [len(rows) * k // parts for k in range(parts + 1)]
-    parent = os.getpid()
-    children = []  # [pid, file] of each slice after the first; pid None once reaped
+
+    def append(k, part, code):
+        if code:
+            raise OSError(errno.EIO, f"the process formatting rows {bounds[k]}.."
+                          f"{bounds[k + 1] - 1} exited with status {code}", path)
+        fh.flush()
+        shutil.copyfileobj(part.buffer, fh.buffer)
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        try:
-            for k in range(1, parts):
-                part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                children.append([None, part])
-                pid = os.fork()
-                if pid == 0:
-                    _format_rows(part, line, rows[bounds[k]:bounds[k + 1]])
-                    part.flush()
-                    os._exit(0)
-                children[-1][0] = pid
-            _format_rows(fh, line, rows[:bounds[1]])
-            fh.flush()
-            for k, child in enumerate(children, start=1):
-                pid, part = child
-                status = os.waitpid(pid, 0)[1]
-                child[0] = None
-                if status:
-                    raise OSError(errno.EIO, f"the process formatting rows "
-                                  f"{bounds[k]}..{bounds[k + 1] - 1} exited with status "
-                                  f"{os.waitstatus_to_exitcode(status)}", path)
-                part.seek(0)
-                shutil.copyfileobj(part.buffer, fh.buffer)
-        finally:
-            if os.getpid() != parent:  # a child that raised leaves without unwinding
-                os._exit(1)
-            for pid, part in children:
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                part.close()
+        _fork_jobs([lambda: _format_rows(fh, line, rows[:bounds[1]])]
+                   + [lambda part, k=k: _format_rows(part, line, rows[bounds[k]:bounds[k + 1]])
+                      for k in range(1, parts)], append)
 
 
 def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
@@ -667,15 +691,45 @@ def monitor_suite() -> SuiteResult:
     return SuiteResult(name="monitors", ok=ok, lines=lines)
 
 
+def _pickled(run, part):
+    """Pickle into ``part`` what ``run()`` returns, or the exception it
+    raises, for _unpickled to return or raise in another process."""
+    import pickle
+
+    try:
+        outcome = run()
+    except Exception as exc:
+        outcome = exc
+    pickle.dump(outcome, part.buffer)
+
+
+def _unpickled(k: int, part, code: int):
+    """The collect of _fork_jobs for a _pickled job: return its value or
+    raise its exception (without the child's traceback) here."""
+    import pickle
+
+    if code:
+        raise RuntimeError(f"the process running a verify suite exited with status {code}")
+    outcome = pickle.load(part.buffer)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def run_verify(suite: str, seed: int, points: int) -> int:
-    results = []
-    if suite in ("all", "brackets"):
-        results.append(bracket_suite(seed=seed, points=points))
-    if suite in ("all", "dirac"):
-        results.append(dirac_suite(seed=seed, points=min(points, 50),
-                                   onshell_points=min(points, 20)))
-    if suite in ("all", "monitors"):
-        results.append(monitor_suite())
+    runs = [run for name, run in (
+        ("brackets", lambda: bracket_suite(seed=seed, points=points)),
+        ("dirac", lambda: dirac_suite(seed=seed, points=min(points, 50),
+                                      onshell_points=min(points, 20))),
+        ("monitors", monitor_suite)) if suite in ("all", name)]
+    if len(runs) > 1 and _usable_cpus() > 1:
+        # the monitor suite, the longest, runs in a child; dirac's LAPACK
+        # calls stay in this process
+        here, away = _fork_jobs([lambda: [run() for run in runs[:-1]],
+                                 functools.partial(_pickled, runs[-1])], _unpickled)
+        results = here + [away]
+    else:
+        results = [run() for run in runs]
     print(f"verification suites (seed={seed}):")
     ok = all(res.ok for res in results)
     for res in results:

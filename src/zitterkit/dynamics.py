@@ -61,6 +61,10 @@ class IntegrationDiverged(RuntimeError):
         self.nonfinite = nonfinite
         self.last_state = last_state
 
+    def __reduce__(self):
+        # the default rebuilds from self.args alone, which lack last_time
+        return type(self), (*self.args, self.last_time, self.nonfinite, self.last_state)
+
 
 def _require_positive(name: str, value: float):
     """The one check on an integrator's time arguments: finite and > 0."""

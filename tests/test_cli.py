@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from zitterkit.cli import (
     main,
 )
 from zitterkit.dirac_check import verify_heisenberg, verify_onshell_zbw
+from zitterkit.dynamics import IntegrationDiverged
 from zitterkit.lagrangian import ModelParams, PhasePoint
 from zitterkit.minkowski import FourVector
 from zitterkit.rng import SplitMix64
@@ -550,6 +552,93 @@ def test_verify_breach_exits_1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL at point 3" in out
     assert "verification result: FAIL" in out
+
+
+def verify_on(cpus, argv, capfd):
+    """``main(argv)`` run as if this process may run on ``cpus`` CPUs: its
+    exit code, stdout and stderr, and how many children it forked."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", counted_fork)
+        code = main(argv)
+    out, err = capfd.readouterr()
+    return code, out, err, len(forked)
+
+
+@pytest.mark.parametrize("seed", [1, 20250810, 20250813])
+@pytest.mark.parametrize("points", [5, 100])
+def test_verify_all_prints_the_same_on_one_cpu_as_on_two(capfd, seed, points):
+    # on two CPUs the monitor suite runs in a child; capfd would also catch
+    # anything the child wrote to the inherited stdout or stderr
+    argv = ["verify", "--suite", "all", "--seed", str(seed), "--points", str(points)]
+    one, two = verify_on(1, argv, capfd), verify_on(2, argv, capfd)
+    assert one[:3] == two[:3] and one[0] == 0 and one[2] == ""
+    assert (one[3], two[3]) == (0, 1)
+
+
+@pytest.mark.parametrize("suite", ["brackets", "dirac", "monitors"])
+def test_verify_of_one_suite_runs_in_process(capfd, suite):
+    code, out, _, forks = verify_on(2, ["verify", "--suite", suite, "--points", "5"], capfd)
+    assert (code, forks) == (0, 0)
+    assert "verification result: PASS" in out
+
+
+def test_verify_failing_monitor_suite_in_the_child_exits_1(monkeypatch, capfd):
+    monkeypatch.setattr(cli, "monitor_suite", lambda: cli.SuiteResult(
+        name="monitors", ok=False, lines=[f"  monitor residual FAIL in process {os.getpid()}"]))
+    code, out, _, forks = verify_on(2, ["verify", "--points", "5"], capfd)
+    assert (code, forks) == (1, 1)
+    fail = [line for line in out.splitlines() if "monitor residual FAIL" in line]
+    assert len(fail) == 1 and not fail[0].endswith(f" {os.getpid()}")
+    assert out.endswith("verification result: FAIL\n")
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("monitor run rejected"), 2),
+    (IntegrationDiverged("monitor run diverged", last_time=0.25, nonfinite=((3,), (5,))), 3),
+], ids=["ValueError", "IntegrationDiverged"])
+def test_verify_error_in_the_child_exits_as_in_one_process(monkeypatch, capfd, error, code):
+    def raising():
+        raise error
+
+    monkeypatch.setattr(cli, "monitor_suite", raising)
+    argv = ["verify", "--points", "5"]
+    one, two = verify_on(1, argv, capfd), verify_on(2, argv, capfd)
+    assert one[:3] == two[:3] and (two[0], two[3]) == (code, 1)
+    assert one[1] == "" and one[2].startswith("error: ") and one[2].count("\n") == 1
+
+
+def test_verify_child_that_dies_raises_in_the_parent(monkeypatch, capfd):
+    monkeypatch.setattr(cli, "monitor_suite", lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match="verify suite exited with status 7"):
+        verify_on(2, ["verify", "--points", "5"], capfd)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_verify_failure_in_the_parent_leaves_no_child_and_no_part(tmp_path, monkeypatch, error):
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "monitor_suite", lambda: time.sleep(60))
+
+    def broken(**kwargs):
+        raise error("bracket suite failed")
+
+    monkeypatch.setattr(cli, "bracket_suite", broken)
+    start = time.monotonic()
+    with pytest.raises(error):
+        main(["verify", "--points", "5"])
+    assert time.monotonic() - start < 30  # the sleeping child was killed, not awaited
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_all_cross_references_correspondence(capsys):
