@@ -6,7 +6,8 @@ Subcommands:
     schema  print the scenario JSON schema
 
 Exit codes: 0 success, 1 verification tolerance breach, 2 validation failure
-(a scenario path that is not a readable file included), 3 integration
+(a scenario path that is not a readable file, or a field rejected by this
+module's own walk over the schema that ``schema`` prints), 3 integration
 divergence, 4 output could not be written.  The env var ZITTERKIT_PRECISION
 (1..17) overrides the number of significant digits in CSV output.
 """
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -162,71 +164,71 @@ class ValidationFailure(ValueError):
     pass
 
 
-@functools.cache
-def _validator(kind: str | None = None):
-    """Validator of SCENARIO_SCHEMA, or of the initial section of ``kind``,
-    built once in the dialect that ``jsonschema.validate`` picks."""
-    from jsonschema.validators import validator_for
-
-    schema = SCENARIO_SCHEMA if kind is None else _INITIAL_SCHEMAS[kind]
-    return validator_for(schema)(schema)
+def _rule(fails, words):
+    """A keyword's check with one error at most, at v: if fails(v, r), worded repr(v) words(r)."""
+    return lambda v, r, s, p: [(p, f"{v!r} {words(r)}")] if fails(v, r) else []
 
 
-# jsonschema's type checks: a bool is no number, and an integral float is an integer
+def _unexpected(v, r, s, p):
+    """additionalProperties, which the scenario schemas set only to false."""
+    if r is not False:
+        raise KeyError(f"additionalProperties: {r!r}")
+    extras = sorted(set(v) - set(s.get("properties", {})), key=str) if isinstance(v, dict) else []
+    return [(p, f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                f"{'was' if len(extras) == 1 else 'were'} unexpected)")] if extras else []
+
+
+# the JSON Schema types: a bool is no number, and an integral float is an integer
 _TYPES = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
           "string": lambda v: isinstance(v, str), "boolean": lambda v: isinstance(v, bool),
           "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
           "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                                 or isinstance(v, float) and v.is_integer())}
-# each keyword of the scenario schemas: the type it applies to (None: all) and,
-# as jsonschema has it, the check of value v against the keyword's value r in
-# schema s.  The bounds negate jsonschema's rejections, so NaN passes them all.
+# each keyword of the scenario schemas: the type of value it applies to (None:
+# all) and its check of value v against the keyword's value r in schema s at
+# path p, listing (path, message) errors in the words tests/test_conforms.py pins
 _KEYWORDS = {
-    "$schema": (None, lambda v, r, s: True), "title": (None, lambda v, r, s: True),
-    "type": (None, lambda v, r, s: _TYPES[r](v)),
-    "enum": (None, lambda v, r, s: any(v == e and isinstance(v, bool) is isinstance(e, bool)
-                                       for e in r)),
-    "properties": ("object", lambda v, r, s: all(_conforms(v[k], r[k]) for k in r if k in v)),
-    "required": ("object", lambda v, r, s: all(k in v for k in r)),
-    "additionalProperties": ("object", lambda v, r, s: all(
-        _conforms(v[k], r) for k in v if k not in s.get("properties", {}))),
-    "items": ("array", lambda v, r, s: all(_conforms(x, r) for x in v)),
-    "minItems": ("array", lambda v, r, s: len(v) >= r),
-    "maxItems": ("array", lambda v, r, s: len(v) <= r),
-    "minimum": ("number", lambda v, r, s: not v < r),
-    "maximum": ("number", lambda v, r, s: not v > r),
-    "exclusiveMinimum": ("number", lambda v, r, s: not v <= r),
+    "$schema": (None, lambda v, r, s, p: []), "title": (None, lambda v, r, s, p: []),
+    "type": (None, _rule(lambda v, r: not _TYPES[r](v), "is not of type {!r}".format)),
+    "enum": (None, _rule(lambda v, r: not any(
+        v == e and isinstance(v, bool) is isinstance(e, bool) for e in r),
+        "is not one of {!r}".format)),
+    "properties": ("object", lambda v, r, s, p: [
+        error for k in r if k in v for error in _errors(v[k], r[k], (*p, k))]),
+    "required": ("object", lambda v, r, s, p: [
+        (p, f"{k!r} is a required property") for k in r if k not in v]),
+    "additionalProperties": (None, _unexpected),
+    "items": ("array", lambda v, r, s, p: [
+        error for i, x in enumerate(v) for error in _errors(x, r, (*p, i))]),
+    "minItems": ("array", _rule(lambda v, r: len(v) < r,
+                                lambda r: "should be non-empty" if r == 1 else "is too short")),
+    "maxItems": ("array", _rule(lambda v, r: len(v) > r,
+                                lambda r: "is expected to be empty" if r == 0 else "is too long")),
+    "minimum": ("number", _rule(operator.lt, "is less than the minimum of {!r}".format)),
+    "maximum": ("number", _rule(operator.gt, "is greater than the maximum of {!r}".format)),
+    "exclusiveMinimum": ("number", _rule(operator.le,
+                                         "is less than or equal to the minimum of {!r}".format)),
 }
 
 
-def _conforms(value, schema) -> bool:
-    """Whether ``value`` is valid under ``schema``, decided as jsonschema decides
-    it.  A keyword missing from _KEYWORDS raises KeyError: no edit goes unchecked."""
-    if isinstance(schema, bool):
-        return schema
+def _errors(value, schema: dict, path: tuple = ()):
+    """Yield every error of ``value`` under ``schema`` as (path, message), schema
+    keyword by keyword.  A keyword missing from _KEYWORDS raises KeyError."""
     for key, rule in schema.items():
         applies, check = _KEYWORDS[key]
-        if (applies is None or _TYPES[applies](value)) and not check(value, rule, schema):
-            return False
-    return True
+        if applies is None or _TYPES[applies](value):
+            yield from check(value, rule, schema, path)
 
 
 def _validate_scenario(scn: dict):
     """Raise ValidationFailure unless ``scn`` can run; make its integer fields ints.
-    _conforms decides; jsonschema is imported only to word a rejection."""
-    if not (_conforms(scn, SCENARIO_SCHEMA)
-            and _conforms(scn.get("initial", {}), _INITIAL_SCHEMAS[scn["kind"]])):
-        from jsonschema.exceptions import best_match  # the error jsonschema.validate raises
-
-        error = best_match(_validator().iter_errors(scn))
-        section = ()
-        if error is None:  # the initial section, against the schema of its kind
-            error = best_match(_validator(scn["kind"]).iter_errors(scn.get("initial", {})))
-            section = ("initial",)
-        if error is None:
-            raise RuntimeError("_conforms rejected a scenario that jsonschema accepts")
-        path = "/".join(str(p) for p in (*section, *error.absolute_path)) or "(top level)"
-        raise ValidationFailure(f"scenario field {path}: {error.message}") from error
+    The error named is the shallowest, then the greatest path, then the first found."""
+    errors = list(_errors(scn, SCENARIO_SCHEMA)) or list(
+        _errors(scn.get("initial", {}), _INITIAL_SCHEMAS[scn["kind"]], ("initial",)))
+    if errors:
+        path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
+        where = "/".join(map(str, path)) or "(top level)"
+        raise ValidationFailure(f"scenario field {where}: {message}")
     for section, spec in SCENARIO_SCHEMA["properties"].items():  # 3.0 is an integer: 3
         for name, rule in spec.get("properties", {}).items():
             if rule.get("type") == "integer" and name in scn.get(section, {}):
@@ -248,6 +250,8 @@ def _check_writable(path: str):
     """Raise ValidationFailure unless ``path`` can be written: an existing
     file that this process may write, or a new name in a writable directory."""
     where = f"scenario field output/path: {path}"
+    if not path:
+        raise ValidationFailure("scenario field output/path: an empty path names no file")
     directory = os.path.dirname(path) or "."
     if os.path.exists(path):
         if os.path.isdir(path) or not os.access(path, os.W_OK):
@@ -303,10 +307,6 @@ def _model_from(scn: dict) -> ModelParams:
         c=units.get("c", 1.0),
         k=tuple(model["k"]) if "k" in model else None,
     )
-
-
-def _fv(values) -> FourVector:
-    return FourVector(*values)
 
 
 def _potential_from(scn: dict):
@@ -492,8 +492,8 @@ def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     params = _model_from(scn)
     init = scn["initial"]
     sol = dynamics.make_free_solution(
-        params, _fv(init["p"]), _fv(init["cos_amp"]), _fv(init["sin_amp"]),
-        x0=_fv(init.get("x0", [0, 0, 0, 0])), project=init.get("project", False))
+        params, *(FourVector(*init[name]) for name in ("p", "cos_amp", "sin_amp")),
+        x0=FourVector(*init.get("x0", [0, 0, 0, 0])), project=init.get("project", False))
     t_end, dt, stride = _span(scn)
     traj = dynamics.integrate_hamilton(sol.initial_phase_point(), params, None,
                                        t_end, dt, stride)
@@ -524,8 +524,7 @@ def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     params = _model_from(scn)
     init = scn["initial"]
     potential = _potential_from(scn)
-    s0 = PhasePoint(x=_fv(init["x"]), p=_fv(init["p"]), q=_fv(init["q"]),
-                    pi=_fv(init["pi"]))
+    s0 = PhasePoint(**{name: FourVector(*init[name]) for name in ("x", "p", "q", "pi")})
     traj = dynamics.integrate_hamilton(s0, params, potential, *_span(scn))
     lines = [f"hamilton run: m={params.m:g} potential="
              f"{potential.label if potential else 'none'} samples={len(traj)}"]
@@ -536,8 +535,8 @@ def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
 def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     params = _model_from(scn)
     init = scn["initial"]
-    stack = [_fv(entry) for entry in init["stack"]]
-    traj = dynamics.integrate_free_general_n(params, _fv(init["x0"]), stack, *_span(scn))
+    stack = [FourVector(*entry) for entry in init["stack"]]
+    traj = dynamics.integrate_free_general_n(params, FourVector(*init["x0"]), stack, *_span(scn))
     lines = [f"general-n free run: n={params.n} k={list(params.k)} samples={len(traj)}"]
     freqs = characteristic_frequencies(params)
     lines.append(f"  characteristic frequencies: {[round(f, 9) for f in freqs]}")

@@ -50,6 +50,17 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
     return (values[..., :d] - values[..., d:]) / (2.0 * h)
 
 
+def potential_parameter(label: str, name: str, value, positive: bool = False) -> np.ndarray:
+    """Parameter ``name`` of the built-in ``label`` potential as floats;
+    ValueError naming both unless every entry is finite (and > 0 if
+    ``positive``), so that a bad parameter fails before any step."""
+    arr = np.asarray(value, dtype=float)
+    if not (np.isfinite(arr).all() and (not positive or (arr > 0).all())):
+        raise ValueError(f"{label} potential: {name} must be "
+                         f"{'positive and ' if positive else ''}finite, got {arr.tolist()}")
+    return arr
+
+
 def coordinates(d: int) -> tuple:
     """The names x0 .. x{d-1} of the coordinates of a potential's float form."""
     return tuple(f"x{i}" for i in range(d))
@@ -236,7 +247,7 @@ class ScalarPotential(Potential):
     def linear(cls, b) -> "ScalarPotential":
         """U(x) = b_mu x^mu for contravariant components b; the partials are
         the constant lowered vector METRIC * b, and the force pdot = b."""
-        b = np.asarray(b, dtype=float)
+        b = potential_parameter("linear", "b", b)
         if b.shape != (4,):
             raise ValueError(f"b must have 4 components, got shape {b.shape}")
         lowered = {f"u_b{mu}": value for mu, value in enumerate((METRIC * b).tolist())}
@@ -248,7 +259,7 @@ class ScalarPotential(Potential):
     def harmonic_spatial(cls, strength: float) -> "ScalarPotential":
         """U(x) = (strength/2) |x_spatial|^2 with analytic gradient; its
         force -strength x_spatial confines for strength > 0."""
-        s = float(strength)
+        s = float(potential_parameter("harmonic", "k", strength))
         return cls(lambda x: 0.5 * s * (np.asarray(x)[..., 1:] ** 2).sum(-1),
                    partials=FloatForm(coordinates(4), "0.0, u_s * x1, u_s * x2, u_s * x3",
                                       constants={"u_s": s}),

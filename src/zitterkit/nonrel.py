@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import rk4_path, step_count
 from .forms import FloatForm
-from .lagrangian import ModelParams, Potential, coordinates
+from .lagrangian import ModelParams, Potential, coordinates, potential_parameter
 
 __all__ = [
     "KinState3D",
@@ -91,7 +91,7 @@ class Potential3D(Potential):
 
     @classmethod
     def harmonic(cls, strength: float) -> "Potential3D":
-        s = float(strength)
+        s = float(potential_parameter("harmonic", "k", strength))
         return cls(lambda x: 0.5 * s * (np.asarray(x) ** 2).sum(-1),
                    partials=FloatForm(coordinates(3), "u_s * x0, u_s * x1, u_s * x2",
                                       constants={"u_s": s}),
@@ -99,8 +99,8 @@ class Potential3D(Potential):
 
     @classmethod
     def gaussian_barrier(cls, height: float, width: float) -> "Potential3D":
-        u0 = float(height)
-        sig2 = float(width) ** 2
+        u0 = float(potential_parameter("gaussian", "height", height))
+        sig2 = float(potential_parameter("gaussian", "width", width, positive=True)) ** 2
         two_sig2 = 2.0 * sig2
 
         def fn(x):
@@ -117,8 +117,8 @@ class Potential3D(Potential):
     @classmethod
     def smoothed_step(cls, height: float, width: float) -> "Potential3D":
         """Sigmoid step along the first axis, U = height / (1 + exp(-x/width))."""
-        u0 = float(height)
-        sig = float(width)
+        u0 = float(potential_parameter("step", "height", height))
+        sig = float(potential_parameter("step", "width", width, positive=True))
 
         def fn(x):
             return u0 * (1.0 / (1.0 + _exp(-np.asarray(x, dtype=float)[..., 0] / sig)))

@@ -448,6 +448,73 @@ def test_output_into_a_read_only_directory_exits_2(tmp_path, monkeypatch, capsys
         locked.chmod(0o700)
 
 
+def test_an_empty_output_path_exits_2_before_the_run(monkeypatch, capsys):
+    _run_must_not_integrate(monkeypatch)
+    assert main(["run", scenario_path("nonrel_circle.json"), "--set", "output.path="]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: scenario field output/path: an empty path names no file\n"
+
+
+NON_FINITE_PARAMETERS = [
+    ("nonrel", "gaussian", "height=NaN", "height must be finite, got nan"),
+    ("nonrel", "gaussian", "width=NaN", "width must be positive and finite, got nan"),
+    ("nonrel", "gaussian", "width=Infinity", "width must be positive and finite, got inf"),
+    ("nonrel", "harmonic", "k=NaN", "k must be finite, got nan"),
+    ("nonrel", "step", "height=NaN", "height must be finite, got nan"),
+    ("nonrel", "step", "width=Infinity", "width must be positive and finite, got inf"),
+    ("hamilton", "linear", "b=[0, NaN, 0, 0]", "b must be finite, got [0.0, nan, 0.0, 0.0]"),
+    ("hamilton", "harmonic", "k=Infinity", "k must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("kind, ptype, setting, message", NON_FINITE_PARAMETERS,
+                         ids=["-".join(case[:3]) for case in NON_FINITE_PARAMETERS])
+def test_a_non_finite_potential_parameter_exits_2(tmp_path, capsys, kind, ptype, setting,
+                                                  message):
+    # the schema lets NaN and Infinity through; the potential's constructor
+    # rejects them before the first step
+    initial = ({"x": [1, 0, 0], "v": [0, 0.1, 0]} if kind == "nonrel" else
+               {"x": [0, 0, 0, 0], "p": [1, 0, 0, 0], "q": [1, 0.1, 0, 0], "pi": [0, 0, -0.05, 0]})
+    spec = {"type": ptype, **POTENTIAL_PARAMETERS[kind][ptype]}
+    scn = {"kind": kind, "model": {"mass": 1.0}, "initial": {**initial, "potential": spec},
+           "integrator": {"dt": 0.001, "t_end": 0.01},
+           "output": {"path": str(tmp_path / "out.csv")}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--set", f"initial.potential.{setting}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ptype} potential: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, settings, message", [
+    ("general_n2.json", ["initial.stack=[]"], "initial/stack: [] should be non-empty"),
+    ("nonrel_circle.json", ["initial.x=[0, 0, 0, 0]"], "initial/x: [0, 0, 0, 0] is too long"),
+    ("nonrel_circle.json", ["output.format=xml"],
+     "output/format: 'xml' is not one of ['csv', 'json']"),
+    ("nonrel_circle.json", ["integrator.dt=fast"],
+     "integrator/dt: 'fast' is not of type 'number'"),
+    ("nonrel_circle.json", ["model.zeta=1", "model.alpha=2"],
+     "model: Additional properties are not allowed ('alpha', 'zeta' were unexpected)"),
+    ("nonrel_circle.json", ["extra=1"],
+     "(top level): Additional properties are not allowed ('extra' was unexpected)"),
+    ("nonrel_circle.json", ["integrator.dt=0"],
+     "integrator/dt: 0 is less than or equal to the minimum of 0"),
+], ids=["non-empty", "too-long", "not-one-of", "not-of-type", "unexpected-names", "top-level",
+        "exclusive-minimum"])
+def test_each_message_rule_is_worded_exactly(monkeypatch, capsys, scenario, settings, message):
+    _run_must_not_integrate(monkeypatch)
+    argv = ["run", scenario_path(scenario)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: scenario field {message}\n"
+
+
 def test_overflowing_step_count_exits_2(capsys, tmp_path):
     # t_end and dt are each finite, but their quotient is not
     assert main(["run", scenario_path("free_cmf.json"),
@@ -837,12 +904,12 @@ def test_shipped_scenarios_validate():
 def test_every_schema_is_valid_in_the_dialect_it_is_validated_with():
     from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
 
-    from zitterkit.cli import _INITIAL_SCHEMAS, _validator
+    from zitterkit.cli import _INITIAL_SCHEMAS
 
-    assert type(_validator()) is validator_for(SCENARIO_SCHEMA) is Draft7Validator
+    assert validator_for(SCENARIO_SCHEMA) is Draft7Validator
     Draft7Validator.check_schema(SCENARIO_SCHEMA)
-    for kind, schema in _INITIAL_SCHEMAS.items():
-        assert type(_validator(kind)) is validator_for(schema) is Draft202012Validator
+    for schema in _INITIAL_SCHEMAS.values():
+        assert validator_for(schema) is Draft202012Validator
         Draft202012Validator.check_schema(schema)
 
 

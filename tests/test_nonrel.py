@@ -123,6 +123,15 @@ def test_builtin_gradients_match_central_differences():
                                        rtol=1e-8, atol=1e-8)
 
 
+@pytest.mark.parametrize("make", [Potential3D.gaussian_barrier, Potential3D.smoothed_step],
+                         ids=["gaussian", "step"])
+@pytest.mark.parametrize("width", [0.0, -0.3])
+def test_a_barrier_of_no_positive_width_raises(make, width):
+    # a width of zero or less would divide by zero or flip the barrier
+    with pytest.raises(ValueError, match=r"potential: width must be positive and finite"):
+        make(0.5, width)
+
+
 def test_non_broadcasting_potential_raises():
     # a user fn for one point fails loudly on many points instead of looping
     pot = Potential3D(Potential3D.harmonic(1.0).value, label="pointwise")
