@@ -50,11 +50,17 @@ def central_gradient(f_rows: Callable[[np.ndarray], np.ndarray], x, step: float)
     return (values[..., :d] - values[..., d:]) / (2.0 * h)
 
 
-def potential_parameter(label: str, name: str, value, positive: bool = False) -> np.ndarray:
+def potential_parameter(label: str, name: str, value, positive: bool = False,
+                        components: int | None = None) -> np.ndarray:
     """Parameter ``name`` of the built-in ``label`` potential as floats;
-    ValueError naming both unless every entry is finite (and > 0 if
-    ``positive``), so that a bad parameter fails before any step."""
-    arr = np.asarray(value, dtype=float)
+    ValueError naming both unless it is a vector of ``components`` entries
+    (if given) and every entry is finite (and > 0 if ``positive``), so that
+    a bad parameter fails before any step.  The floats are a copy, so the
+    potential does not change with the caller's array."""
+    arr = np.array(value, dtype=float)
+    if components is not None and arr.shape != (components,):
+        raise ValueError(f"{label} potential: {name} must have {components} components, "
+                         f"got shape {arr.shape}")
     if not (np.isfinite(arr).all() and (not positive or (arr > 0).all())):
         raise ValueError(f"{label} potential: {name} must be "
                          f"{'positive and ' if positive else ''}finite, got {arr.tolist()}")
@@ -247,9 +253,7 @@ class ScalarPotential(Potential):
     def linear(cls, b) -> "ScalarPotential":
         """U(x) = b_mu x^mu for contravariant components b; the partials are
         the constant lowered vector METRIC * b, and the force pdot = b."""
-        b = potential_parameter("linear", "b", b)
-        if b.shape != (4,):
-            raise ValueError(f"b must have 4 components, got shape {b.shape}")
+        b = potential_parameter("linear", "b", b, components=4)
         lowered = {f"u_b{mu}": value for mu, value in enumerate((METRIC * b).tolist())}
         return cls(lambda x: inner(b, np.asarray(x)),
                    partials=FloatForm(coordinates(4), ", ".join(lowered), constants=lowered),

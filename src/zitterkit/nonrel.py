@@ -83,7 +83,7 @@ class Potential3D(Potential):
     @classmethod
     def uniform_force(cls, force) -> "Potential3D":
         """Linear potential U = -F.x giving the constant force F."""
-        f = _vec3(force, "force")
+        f = potential_parameter("uniform", "force", force, components=3)
         partials = {f"u_f{i}": value for i, value in enumerate((-f).tolist())}
         return cls(lambda x: -(np.asarray(x) * f).sum(-1),
                    partials=FloatForm(coordinates(3), ", ".join(partials), constants=partials),

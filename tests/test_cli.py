@@ -460,6 +460,7 @@ NON_FINITE_PARAMETERS = [
     ("nonrel", "gaussian", "height=NaN", "height must be finite, got nan"),
     ("nonrel", "gaussian", "width=NaN", "width must be positive and finite, got nan"),
     ("nonrel", "gaussian", "width=Infinity", "width must be positive and finite, got inf"),
+    ("nonrel", "uniform", "force=[0, Infinity, 0]", "force must be finite, got [0.0, inf, 0.0]"),
     ("nonrel", "harmonic", "k=NaN", "k must be finite, got nan"),
     ("nonrel", "step", "height=NaN", "height must be finite, got nan"),
     ("nonrel", "step", "width=Infinity", "width must be positive and finite, got inf"),

@@ -132,6 +132,18 @@ def test_a_barrier_of_no_positive_width_raises(make, width):
         make(0.5, width)
 
 
+def test_a_vector_parameter_is_checked_and_copied():
+    # the built-ins word a bad vector as they word a bad number, and keep
+    # their own floats
+    with pytest.raises(ValueError, match=r"^uniform potential: force must have 3 components, "
+                                         r"got shape \(2,\)$"):
+        Potential3D.uniform_force([0.1, 0.0])
+    force = np.array([0.1, 0.0, 0.0])
+    pot = Potential3D.uniform_force(force)
+    force[0] = 5.0
+    assert pot.value([1.0, 0.0, 0.0]) == -0.1
+
+
 def test_non_broadcasting_potential_raises():
     # a user fn for one point fails loudly on many points instead of looping
     pot = Potential3D(Potential3D.harmonic(1.0).value, label="pointwise")
