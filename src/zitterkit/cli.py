@@ -28,6 +28,7 @@ import numpy as np
 
 from . import brackets, dirac_check, dynamics, nonrel
 from .dynamics import IntegrationDiverged
+from .forks import fork_jobs, usable_cpus
 from .lagrangian import ModelParams, PhasePoint, ScalarPotential, characteristic_frequencies
 from .minkowski import FourVector
 from .rng import SplitMix64
@@ -220,6 +221,18 @@ def _errors(value, schema: dict, path: tuple = ()):
             yield from check(value, rule, schema, path)
 
 
+def _integers(value, path: tuple = ()):
+    """Yield (path, value) for every int in the JSON document ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _integers(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _integers(item, (*path, i))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield path, value
+
+
 def _validate_scenario(scn: dict):
     """Raise ValidationFailure unless ``scn`` can run; make its integer fields ints.
     The error named is the shallowest, then the greatest path, then the first found."""
@@ -229,6 +242,14 @@ def _validate_scenario(scn: dict):
         path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
         where = "/".join(map(str, path)) or "(top level)"
         raise ValidationFailure(f"scenario field {where}: {message}")
+    for path, value in _integers(scn):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationFailure(
+                f"scenario field {'/'.join(map(str, path))}: an integer of "
+                f"{math.floor(math.log10(abs(value))) + 1} digits is too large for a float"
+            ) from None
     for section, spec in SCENARIO_SCHEMA["properties"].items():  # 3.0 is an integer: 3
         for name, rule in spec.get("properties", {}).items():
             if rule.get("type") == "integer" and name in scn.get(section, {}):
@@ -336,65 +357,10 @@ def _precision(scn: dict) -> int:
 ROWS_PER_PART = 1024
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on; 1 where ``os.fork`` is missing,
-    so that nothing is split across processes there."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _csv_parts(n_rows: int) -> int:
     """How many processes format a CSV table of ``n_rows`` rows: one per
     usable CPU, with at least ROWS_PER_PART rows each."""
-    return max(1, min(_usable_cpus(), n_rows // ROWS_PER_PART))
-
-
-def _fork_jobs(jobs: list, collect) -> list:
-    """Run ``jobs[0]()`` here while each later ``jobs[k](part)`` runs in a
-    forked child; ``part`` is the child's own unnamed temporary file, UTF-8
-    text without newline translation, whose ``buffer`` takes bytes.
-
-    A child leaves through ``os._exit``: 0 once its job has returned and
-    ``part`` is flushed, 1 if the job raised.  Then the children are reaped
-    in order, calling ``collect(k, part, exit_code)`` with ``part`` rewound.
-    Returns what ``jobs[0]`` and each ``collect`` returned.  No child
-    outlives the call and every part is closed, whether it returns or raises.
-    """
-    import signal
-    import tempfile
-
-    parent = os.getpid()
-    children = []  # [pid, part] of each later job; pid None once reaped
-    try:
-        for job in jobs[1:]:
-            part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-            children.append([None, part])
-            pid = os.fork()
-            if pid == 0:
-                job(part)
-                part.flush()
-                os._exit(0)
-            children[-1][0] = pid
-        values = [jobs[0]()]
-        for k, child in enumerate(children, start=1):
-            pid, part = child
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            part.seek(0)
-            values.append(collect(k, part, os.waitstatus_to_exitcode(status)))
-        return values
-    finally:
-        if os.getpid() != parent:  # a child whose job raised leaves without unwinding
-            os._exit(1)
-        for pid, part in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            part.close()
+    return max(1, min(usable_cpus(), n_rows // ROWS_PER_PART))
 
 
 def _format_rows(fh, line: str, rows: np.ndarray):
@@ -408,7 +374,7 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts:
     """Write ``rows`` under ``header`` to ``path`` as CSV, each value to
     ``prec`` significant digits, formatted by ``parts`` processes.
 
-    The rows are cut into ``parts`` contiguous slices.  Through _fork_jobs,
+    The rows are cut into ``parts`` contiguous slices.  Through fork_jobs,
     this process formats the first straight into ``path`` and a child
     formats each other slice into its own part, which is appended in order.
     Every row is formatted alike in every process, so the bytes do not
@@ -430,7 +396,7 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts:
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        _fork_jobs([lambda: _format_rows(fh, line, rows[:bounds[1]])]
+        fork_jobs([lambda: _format_rows(fh, line, rows[:bounds[1]])]
                    + [lambda part, k=k: _format_rows(part, line, rows[bounds[k]:bounds[k + 1]])
                       for k in range(1, parts)], append)
 
@@ -703,7 +669,7 @@ def _pickled(run, part):
 
 
 def _unpickled(k: int, part, code: int):
-    """The collect of _fork_jobs for a _pickled job: return its value or
+    """The collect of fork_jobs for a _pickled job: return its value or
     raise its exception (without the child's traceback) here."""
     import pickle
 
@@ -721,11 +687,11 @@ def run_verify(suite: str, seed: int, points: int) -> int:
         ("dirac", lambda: dirac_suite(seed=seed, points=min(points, 50),
                                       onshell_points=min(points, 20))),
         ("monitors", monitor_suite)) if suite in ("all", name)]
-    if len(runs) > 1 and _usable_cpus() > 1:
+    if len(runs) > 1 and usable_cpus() > 1:
         # the monitor suite, the longest, runs in a child; dirac's LAPACK
         # calls stay in this process
-        here, away = _fork_jobs([lambda: [run() for run in runs[:-1]],
-                                 functools.partial(_pickled, runs[-1])], _unpickled)
+        here, away = fork_jobs([lambda: [run() for run in runs[:-1]],
+                                functools.partial(_pickled, runs[-1])], _unpickled)
         results = here + [away]
     else:
         results = [run() for run in runs]

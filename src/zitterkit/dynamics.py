@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .forks import fork_jobs, usable_cpus
 from .forms import FloatForm, assignments, check_names, define
 from .lagrangian import (ModelParams, PhasePoint, ScalarPotential, canonical_momentum,
                          hamiltonian_rows)
@@ -109,7 +110,7 @@ def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
         last_state=np.stack(last_state, -1))
 
 
-def _kernel_source(text, stacked: bool = False) -> str:
+def _kernel_source(text, store=None) -> str:
     """The source of the step loop of :func:`rk4_path` written out for the
     float form of ``text`` (see :attr:`FloatForm.text`).
 
@@ -118,12 +119,17 @@ def _kernel_source(text, stacked: bool = False) -> str:
     float for a 1-D state, the column of every member for a stacked one.
     Each of the four stages assigns the stage time and values to the form's
     names, runs its lines and assigns its result to the stage's rates; the
-    kernel's own names start with ``_``.  The two sources differ only in
-    the line that stores a sample: a float sample is packed as n native
-    doubles straight into the bytes of the C-ordered float64 ``samples``
-    (``_pack``, a ``struct.Struct.pack_into``), which stores the same bits
-    as ``samples[j] = ...`` at a third of its cost; the columns are stacked
-    into ``samples[j]``.
+    kernel's own names start with ``_``.  The sources differ only in the
+    line that stores a sample, chosen by ``store``:
+
+    - None: the n floats are packed as native doubles straight into
+      ``samples``, the bytes of the C-ordered float64 samples (``_pack``, a
+      ``struct.Struct.pack_into``), which stores the same bits as
+      ``samples[j] = ...`` at a third of its cost;
+    - ``"stacked"``: the columns are stacked into ``samples[j]``;
+    - ``(width, columns)``: component c goes to index ``j * width +
+      columns[c]`` of ``samples``, a flat float64 memoryview of the samples
+      of a ``width``-component state of which this form runs a part.
     """
     args, time, lines, result, constants = text
     check_names(text)
@@ -137,8 +143,14 @@ def _kernel_source(text, stacked: bool = False) -> str:
                 + list(lines) + assignments(each(f"_k{k}_{{c}}"), result))
 
     ys = ", ".join(each("_y{c}"))
-    store = (f"_samples[_j] = _stack(({ys},), -1)" if stacked
-             else f"_pack(_bytes, _j * {8 * n}, {ys})")
+    if store is None:
+        store = f"_pack(_samples, _j * {8 * n}, {ys})"
+    elif store == "stacked":
+        store = f"_samples[_j] = _stack(({ys},), -1)"
+    else:
+        width, columns = store
+        store = "; ".join(f"_samples[_j * {width} + {col}] = _y{c}"
+                          for c, col in enumerate(columns))
     step = "\n        ".join(
         stage(1, "_t", "_y{c}")
         + stage(2, "_t + _half", "_y{c} + _half * _k1_{c}")
@@ -155,7 +167,6 @@ def run({params}):
     {ys}, = _y
     {", ".join(each('_c{c}'))}, = {(0.0,) * n}
     _half, _sixth = 0.5 * _dt, _dt / 6.0
-    _bytes = memoryview(_samples).cast("B")
     _j = 1
     for _i in range(1, _n_steps + 1):
         _t = _t0 + (_i - 1) * _dt
@@ -171,15 +182,70 @@ def run({params}):
 
 
 @functools.cache
-def _straight_line_rk4(text, stacked: bool = False):
-    """The compiled :func:`_kernel_source` of ``text`` for floats or for
-    columns: compiled on first use and kept for each text and execution,
-    whatever the values of its constants."""
+def _straight_line_rk4(text, store=None):
+    """The compiled :func:`_kernel_source` of ``text`` and ``store``:
+    compiled on first use and kept for each text and store, whatever the
+    values of its constants."""
     n = len(text[0])
-    return define("run", _kernel_source(text, stacked), f"<rk4 straight line n={n}>",
-                  _isfinite=(lambda z: np.isfinite(z).all()) if stacked else math.isfinite,
+    return define("run", _kernel_source(text, store), f"<rk4 straight line n={n}>",
+                  _isfinite=(lambda z: np.isfinite(z).all()) if store == "stacked"
+                  else math.isfinite,
                   _diverged=_diverged, _pack=struct.Struct(f"={n}d").pack_into,
                   _stack=np.stack)
+
+
+# the fewest component-steps (n_steps times the state's width) worth
+# splitting a 1-D state across processes.  On a 2-vCPU VM a second process
+# (fork, pin, reap) cost ~6 ms, so splitting the nonrel harmonic and the
+# free canonical forms (12 and 16 components) broke even at ~45k
+# component-steps and saved 9-16 ms at 96k-128k; 100k keeps a twofold margin
+SPLIT_WORK = 100_000
+
+
+def _bins(groups, count: int) -> list:
+    """``groups`` of columns dealt into ``count`` bins balanced by component
+    count, each group, largest first, to the bin with the fewest; returns
+    each bin's sorted columns, the largest bin first."""
+    bins = [[] for _ in range(count)]
+    for group in sorted(groups, key=len, reverse=True):
+        min(bins, key=len).extend(group)
+    return sorted(map(sorted, bins), key=len, reverse=True)
+
+
+def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
+    """The samples of :func:`rk4_path` for the 1-D state ``y``, one process
+    per bin of columns: this one runs the first, a forked child each other,
+    each the kernel of its restricted form storing into one anonymous
+    shared mapping.  Returns None, with the mapping closed and no child
+    left, if a bin raised or a child failed."""
+    import mmap
+
+    width = len(y)
+    parts = [(form.restricted(columns), columns) for columns in bins]
+    kernels = [_straight_line_rk4(part.text, (width, tuple(columns)))
+               for part, columns in parts]  # compiled here, for every child
+    buffer = mmap.mmap(-1, 8 * width * rows)
+    view = memoryview(buffer).cast("d")
+
+    def job(k):
+        part, columns = parts[k]
+        kernels[k](y[columns].tolist(), t0, dt, n_steps, stride, view,
+                   *part.constants.values())
+
+    ok = False
+    try:
+        view[:width] = memoryview(y)
+        codes = fork_jobs([functools.partial(job, 0)]
+                          + [lambda _, k=k: job(k) for k in range(1, len(bins))],
+                          lambda k, part, code: code)
+        ok = not any(codes[1:])
+    except Exception:
+        pass  # the run on one process raises it again
+    finally:
+        view.release()  # so the mapping closes even while a traceback holds a kernel frame
+        if not ok:
+            buffer.close()
+    return np.frombuffer(buffer).reshape(rows, width) if ok else None
 
 
 def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
@@ -200,6 +266,20 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     compensated summation so that long runs stay truncation-limited rather
     than roundoff-limited.  Raises :class:`IntegrationDiverged` if the
     state stops being finite.
+
+    A 1-D state whose form has two or more :attr:`~FloatForm.groups` of
+    components (every built-in potential but the gaussian, and free runs)
+    runs in parallel when at least two CPUs are usable and ``n_steps`` times
+    n reaches SPLIT_WORK: the groups are dealt into one bin per usable CPU,
+    balanced by component count, and each bin runs the kernel of its
+    :meth:`~FloatForm.restricted` form, the first in this process and each
+    other in a forked child pinned to a CPU of its own (see
+    :mod:`zitterkit.forks`).  They store their components straight into
+    their columns of one anonymous shared mapping, which holds the samples.
+    Each component is computed by the same operations as in one process,
+    so the samples are the same bits.  If a bin raises or a child fails,
+    the whole state runs again in this process, which raises the same
+    error as a run on one CPU.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)
@@ -208,15 +288,24 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
         raise ValueError(f"a state needs at least one component on its last axis, "
                          f"got shape {y.shape}")
     times = t0 + steps * dt
-    samples = np.empty((len(steps),) + y.shape)
-    samples[0] = y
     form = (rates if isinstance(rates, FloatForm)
             else FloatForm.call(rates, [f"y{c}" for c in range(y.shape[-1])], time="t"))
+    if y.ndim == 1 and n_steps * len(y) >= SPLIT_WORK:
+        groups = form.groups
+        count = min(usable_cpus(), len(groups))
+        if count > 1:
+            samples = _split_rk4(form, _bins(groups, count), y, t0, dt, n_steps, stride,
+                                 len(steps))
+            if samples is not None:
+                return times, samples
+    samples = np.empty((len(steps),) + y.shape)
+    samples[0] = y
     stacked = y.ndim > 1
     with np.errstate(over="ignore", invalid="ignore"):
-        _straight_line_rk4(form.text, stacked)(
+        _straight_line_rk4(form.text, "stacked" if stacked else None)(
             np.moveaxis(y, -1, 0) if stacked else y.tolist(), t0, dt, n_steps, stride,
-            samples, *form.constants.values())
+            samples if stacked else memoryview(samples).cast("B"),
+            *form.constants.values())
     return times, samples
 
 

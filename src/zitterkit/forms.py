@@ -60,6 +60,66 @@ def assignments(targets, expression: str) -> list:
 
 
 @functools.cache
+def _partition(text):
+    """The independent blocks of the form ``text``: ``(groups, roots,
+    elements)``, where ``groups`` lists the argument indices of each block,
+    ``roots`` names the block of each line and then of each argument, and
+    ``elements`` is the source of each result element; None when the form
+    cannot be split.
+
+    A union-find joins every argument and assigned name with the arguments
+    and assigned names that its line, or its result element, reads; the
+    time and the constants are read by every block.  Only lines that are
+    single assignments to plain names, with no assignment expression, and a
+    result that is a tuple display of one element per argument are analysed.
+    """
+    args, _, lines, result, _ = text
+    statements = [ast.parse(line).body for line in lines]
+    node = ast.parse(result, mode="eval").body
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == len(args)
+            and not any(isinstance(e, ast.Starred) for e in node.elts)):
+        return None
+    # an assignment inside an expression would hide what its name reads
+    if any(isinstance(n, ast.NamedExpr) for n in ast.walk(ast.parse("\n".join(lines)))):
+        return None
+    targets = []
+    for body in statements:
+        if not (len(body) == 1 and isinstance(body[0], ast.Assign)
+                and len(body[0].targets) == 1):
+            return None
+        target = body[0].targets[0]
+        names = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+        if not all(isinstance(name, ast.Name) for name in names):
+            return None
+        targets.append([name.id for name in names])
+    parent = {name: name for name in (*args, *(t for names in targets for t in names))}
+
+    def find(name):
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    def join(names, value):
+        roots = [find(name) for name in names]
+        roots += [find(n.id) for n in ast.walk(value)
+                  if isinstance(n, ast.Name) and n.id in parent]
+        for root in roots[1:]:
+            parent[root] = roots[0]
+
+    for names, body in zip(targets, statements):
+        join(names, body[0].value)
+    for arg, element in zip(args, node.elts):
+        join([arg], element)
+    groups = {}
+    for c, arg in enumerate(args):
+        groups.setdefault(find(arg), []).append(c)
+    return (tuple(map(tuple, groups.values())),
+            [find(names[0]) for names in targets] + [find(arg) for arg in args],
+            [ast.get_source_segment(result, e) for e in node.elts])
+
+
+@functools.cache
 def _maker(text):
     """``make(*constants)``, which returns the function of the form ``text``."""
     check_names(text)
@@ -117,6 +177,34 @@ class FloatForm:
         return FloatForm(self.args, self.result,
                          inner.lines + tuple(assignments(targets, inner.result)) + self.lines,
                          {**self.constants, **inner.constants}, self.time)
+
+    @property
+    def groups(self) -> tuple:
+        """The argument indices of each block of components whose rates read
+        only each other, in argument order (see :func:`_partition`): one
+        group of all of them when the text cannot be analysed, as for every
+        :meth:`call`."""
+        partition = _partition(self.text)
+        return partition[0] if partition else (tuple(range(len(self.args))),)
+
+    def restricted(self, columns) -> "FloatForm":
+        """The form of the components ``columns``, a union of :attr:`groups`
+        in argument order: their arguments and result elements, the lines
+        of their groups and every constant."""
+        columns = tuple(columns)
+        chosen = [group for group in self.groups if set(group) & set(columns)]
+        if sorted(c for group in chosen for c in group) != list(columns):
+            raise ValueError(f"columns {list(columns)} are not a union of the groups "
+                             f"{self.groups}")
+        partition = _partition(self.text)
+        if partition is None:
+            return self
+        _, roots, elements = partition
+        kept = {roots[len(self.lines) + group[0]] for group in chosen}
+        lines = tuple(line for line, root in zip(self.lines, roots) if root in kept)
+        result = ", ".join(elements[c] for c in columns) + ("," if len(columns) == 1 else "")
+        return FloatForm([self.args[c] for c in columns], result, lines, self.constants,
+                         self.time)
 
     def __call__(self, *values):
         if self._function is None:

@@ -25,6 +25,7 @@ from zitterkit.cli import (
 )
 from zitterkit.dirac_check import verify_heisenberg, verify_onshell_zbw
 from zitterkit.dynamics import IntegrationDiverged
+from zitterkit.forks import fork_jobs, usable_cpus
 from zitterkit.lagrangian import ModelParams, PhasePoint
 from zitterkit.minkowski import FourVector
 from zitterkit.rng import SplitMix64
@@ -418,6 +419,18 @@ def _run_must_not_integrate(monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda scn: pytest.fail("the run was started"))
 
 
+@pytest.mark.parametrize("setting", ["model.mass", "integrator.t_end", "initial.potential.k"])
+def test_an_integer_too_large_for_a_float_exits_2(monkeypatch, capsys, setting):
+    # the schema takes any int as a number; float() of this one overflows
+    _run_must_not_integrate(monkeypatch)
+    huge = "1" + "0" * 400
+    assert main(["run", scenario_path("nonrel_harmonic.json"), "--set", f"{setting}={huge}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: scenario field {setting.replace('.', '/')}: an integer of 401 digits "
+                   "is too large for a float\n")
+
+
 def test_output_into_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
     _run_must_not_integrate(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
@@ -654,9 +667,41 @@ def test_verify_all_prints_the_same_on_one_cpu_as_on_two(capfd, seed, points):
 
 @pytest.mark.parametrize("suite", ["brackets", "dirac", "monitors"])
 def test_verify_of_one_suite_runs_in_process(capfd, suite):
+    # a suite alone runs in this process; the monitor suite's 31,416-step
+    # free run is long enough that rk4_path splits its state, one fork
     code, out, _, forks = verify_on(2, ["verify", "--suite", suite, "--points", "5"], capfd)
-    assert (code, forks) == (0, 0)
+    assert (code, forks) == (0, 1 if suite == "monitors" else 0)
     assert "verification result: PASS" in out
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="pinning needs two usable CPUs")
+def test_a_pinned_child_sees_one_usable_cpu():
+    # so the monitor suite's child of `verify --suite all` forks no further
+    def report(part):
+        part.write(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+
+    here, away = fork_jobs([usable_cpus, report], lambda k, part, code: (code, part.read()))
+    assert here == len(os.sched_getaffinity(0)) > 1
+    code, cpus = away
+    assert code == 0 and len(cpus.split()) == 1 and int(cpus) in os.sched_getaffinity(0)
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError("refused")
+
+
+@pytest.mark.parametrize("refused", ["the parent's CPU", "the affinity call"])
+def test_a_child_that_cannot_be_pinned_runs_unpinned(monkeypatch, refused):
+    if refused == "the parent's CPU":
+        monkeypatch.setattr("zitterkit.forks.open", _refuse, raising=False)  # /proc/self/stat
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse)
+    def report(part):
+        part.write(repr(sorted(os.sched_getaffinity(0))))
+
+    _, away = fork_jobs([lambda: None, report], lambda k, part, code: (code, part.read()))
+    assert away == (0, repr(sorted(os.sched_getaffinity(0))))
 
 
 def test_verify_failing_monitor_suite_in_the_child_exits_1(monkeypatch, capfd):

@@ -1,12 +1,15 @@
 import math
+import os
 import pickle
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zitterkit import dynamics
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
     IntegrationDiverged,
@@ -1126,3 +1129,144 @@ def test_frequency_measurement_matches_model():
     freq = estimate_frequency(traj.times, traj.qs[:, 1])
     assert freq == pytest.approx(sol.omega, rel=1e-4)
     assert characteristic_frequencies(PARAMS) == pytest.approx([sol.omega])
+
+
+def _split_on(monkeypatch, cpus):
+    """Split every 1-D run with two or more groups across ``cpus`` processes;
+    returns the list of the pids this process forks."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(dynamics, "SPLIT_WORK", 0)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+SPLIT_CASES = {
+    "nr-harmonic": lambda mp: (_nr_rates(mp, Potential3D.harmonic(1.0)), _nr_state(NR_STARTS[1])),
+    "nr-zero": lambda mp: (_nr_rates(mp, Potential3D.zero()), _nr_state(NR_STARTS[0])),
+    "hamilton-none": lambda mp: (_hamilton_rates(mp, None), _hamilton_starts()[1]),
+    "hamilton-harmonic": lambda mp: (_hamilton_rates(mp, HAMILTON_POTENTIALS["harmonic"]),
+                                     _hamilton_starts()[0]),
+    "general_n2": lambda mp: (_general_n_rates(mp, 2),
+                              _general_n_state(2, *_general_n_starts(2)[1])),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_a_split_run_gives_the_one_cpu_samples_bit_for_bit(monkeypatch, case, stride, cpus):
+    rates, y0 = SPLIT_CASES[case](monkeypatch)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    times, one = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)  # 7 does not divide 200
+    forked = _split_on(monkeypatch, cpus)
+    split_times, split = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)
+    assert len(forked) == min(cpus, len(rates.groups)) - 1 > 0
+    assert np.array_equal(split_times, times)
+    _assert_bit_identical(split, one)
+    _assert_no_child_left()
+
+
+def test_a_gaussian_or_stacked_run_does_not_split(monkeypatch):
+    gaussian = _nr_rates(monkeypatch, Potential3D.gaussian_barrier(0.5, 0.3))
+    harmonic = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
+    forked = _split_on(monkeypatch, 2)
+    rk4_path(gaussian, _nr_state(NR_STARTS[1]), 0.25, 1e-2, 50)
+    rk4_path(harmonic, np.array([_nr_state(s0) for s0 in NR_STARTS]), 0.25, 1e-2, 50)
+    assert forked == []
+    rk4_path(harmonic, _nr_state(NR_STARTS[1]), 0.25, 1e-2, 50)
+    assert len(forked) == 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("axis, where", [(0, "parent"), (1, "child")])
+def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where):
+    # the harmonic groups (0, 3, 6, 9) and (2, 5, 8, 11) run here, (1, 4, 7, 10) in the child
+    rates = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
+    y0 = np.zeros(12)
+    y0[axis] = 1.0
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    with pytest.raises(IntegrationDiverged) as one:
+        rk4_path(rates, y0, 0.0, 10.0, 100)
+    forked = _split_on(monkeypatch, 2)
+    with pytest.raises(IntegrationDiverged) as split:
+        rk4_path(rates, y0, 0.0, 10.0, 100)
+    assert len(forked) == 1
+    one, split = one.value, split.value
+    assert str(split) == str(one)
+    assert (split.last_time, split.nonfinite) == (one.last_time, one.nonfinite)
+    assert split.nonfinite[0] == (axis,) and one.last_time == 950.0
+    _assert_bit_identical(split.last_state, one.last_state)
+    _assert_no_child_left()
+
+
+def _shared_mappings() -> int:
+    """How many shared mappings this process has, anonymous ones included."""
+    with open("/proc/self/maps") as fh:
+        return sum(line.split()[1].endswith("s") for line in fh)
+
+
+def _failing_bins(monkeypatch, failing, error):
+    """Make every kernel raise ``error`` in the ``failing`` process (parent
+    or child), and the child's sleep for a minute otherwise."""
+    parent, kernel = os.getpid(), dynamics._straight_line_rk4
+
+    def broken(text, store=None):
+        run = kernel(text, store)
+
+        def guarded(*args):
+            here = os.getpid() == parent
+            if here == (failing == "parent"):
+                raise error("bin failed")
+            return run(*args) if here else time.sleep(60)
+        return guarded
+
+    monkeypatch.setattr(dynamics, "_straight_line_rk4", broken)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_parent_bin_that_raises_leaves_no_child_and_no_mapping(monkeypatch, error):
+    rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
+    forked = _split_on(monkeypatch, 2)
+    _failing_bins(monkeypatch, "parent", error)
+    before = _shared_mappings()
+    start = time.monotonic()
+    with pytest.raises(error, match="bin failed") as raised:
+        rk4_path(rates, y0, 0.0, 1e-2, 100)
+    assert len(forked) == 1 and time.monotonic() - start < 30
+    # closed, not merely unreferenced: the traceback held here keeps every frame
+    assert raised.tb is not None and _shared_mappings() == before
+    _assert_no_child_left()
+
+
+def test_a_failing_child_bin_reruns_the_state_in_one_process(monkeypatch):
+    rates, y0 = SPLIT_CASES["hamilton-none"](monkeypatch)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
+    forked = _split_on(monkeypatch, 2)
+    _failing_bins(monkeypatch, "child", RuntimeError)
+    _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
+    assert len(forked) == 1
+    _assert_bit_identical(split, one)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("groups, count, bins", [
+    (((0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11)), 2, [[0, 2, 3, 5, 6, 8, 9, 11], [1, 4, 7, 10]]),
+    (((0, 1, 2, 3, 4), (5, 6, 7), (8, 9, 10)), 2, [[5, 6, 7, 8, 9, 10], [0, 1, 2, 3, 4]]),
+    (((0, 4), (1, 5), (2, 6), (3, 7)), 3, [[0, 3, 4, 7], [1, 5], [2, 6]]),
+])
+def test_bins_balance_the_component_count_largest_first(groups, count, bins):
+    assert dynamics._bins(groups, count) == bins

@@ -136,16 +136,22 @@ def test_straight_line_kernel_equals_the_array_loop(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacks_and_floats_run_one_source(case):
-    # the two executions are bindings of one generated step loop; only the
-    # line that stores a sample is written for each
+    # the executions (floats, columns, part of a state split across
+    # processes) are bindings of one generated step loop; only the line
+    # that stores a sample is written for each
     text = CASES[case]().text
+    n = len(text[0])
     floats = dynamics._kernel_source(text).splitlines()
-    columns = dynamics._kernel_source(text, True).splitlines()
-    assert len(floats) == len(columns)
-    differ = [(a.strip(), b.strip()) for a, b in zip(floats, columns) if a != b]
+    columns = dynamics._kernel_source(text, "stacked").splitlines()
+    shared = dynamics._kernel_source(text, (n + 2, tuple(range(2, n + 2)))).splitlines()
+    assert len(floats) == len(columns) == len(shared)
+    differ = [(a.strip(), b.strip(), c.strip())
+              for a, b, c in zip(floats, columns, shared) if not a == b == c]
     assert len(differ) == 1
-    assert differ[0][0].startswith("_pack(_bytes, _j * ")
+    assert differ[0][0].startswith("_pack(_samples, _j * ")
     assert differ[0][1].startswith("_samples[_j] = _stack((_y0, ")
+    assert differ[0][2].startswith(f"_samples[_j * {n + 2} + 2] = _y0; ")
+    assert differ[0][2].endswith(f"_samples[_j * {n + 2} + {n + 1}] = _y{n - 1}")
 
 
 def test_one_kernel_serves_every_strength_and_mass():
@@ -223,3 +229,73 @@ def test_a_tuple_result_is_assigned_element_by_element_only_when_that_is_exact()
     assert forms.assignments(("a", "b"), "b, a") == ["a, b, = b, a"]
     assert forms.assignments(("a", "b"), "x, y, z") == ["a, b, = x, y, z"]
     assert forms.assignments(("a", "b"), "f(x)") == ["a, b, = f(x)"]
+
+
+def _per_block(width: int, blocks: int) -> tuple:
+    """The groups of a state of ``width`` components in which component c
+    belongs to block c % blocks."""
+    return tuple(tuple(range(b, width, blocks)) for b in range(blocks))
+
+
+# potentials whose partials leave the axes apart: every built-in but the gaussian
+SEPARABLE = {"zero", "uniform", "harmonic", "step", "none", "linear"}
+
+
+def _expected_groups(case: str) -> tuple:
+    integrator, _, potential = case.partition("-")
+    if integrator.startswith("general_n"):
+        return _per_block(4 * (2 * int(integrator[-1]) + 1), 4)
+    width, blocks = {"nr": (12, 3), "newtonian": (6, 3), "hamilton": (16, 4)}[integrator]
+    return _per_block(width, blocks) if potential in SEPARABLE else (tuple(range(width)),)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_groups_of_every_integrator_form(case):
+    assert CASES[case]().groups == _expected_groups(case)
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES
+                                        if len(_expected_groups(case)) > 1))
+def test_a_restricted_form_runs_its_columns_bit_for_bit(case):
+    form = CASES[case]()
+    n = len(form.args)
+    y0 = np.linspace(-0.9, 0.8, n) + 0.05
+    _, whole = rk4_path(form, y0, 0.25, 1e-2, 40, 3)
+    for columns in form.groups + (sorted(form.groups[0] + form.groups[-1]),):
+        part = form.restricted(columns)
+        assert part.args == tuple(form.args[c] for c in columns)
+        assert len(part.lines) <= len(form.lines)
+        _, samples = rk4_path(part, y0[list(columns)], 0.25, 1e-2, 40, 3)
+        assert np.array_equal(samples, whole[:, list(columns)])
+        assert np.array_equal(np.signbit(samples), np.signbit(whole[:, list(columns)]))
+    with pytest.raises(ValueError, match="not a union of the groups"):
+        form.restricted(form.groups[0][:-1])
+
+
+def test_a_restricted_form_keeps_only_the_lines_of_its_groups():
+    form = _nr_form(Potential3D.harmonic(1.3))
+    part = form.restricted((1, 4, 7, 10))
+    assert part.lines == ("g1 = u_s * x1",)
+    assert part.result == "v1, a1, j1, inv_lam * (neg_m * a1 - g1)"
+    assert (part.constants, part.time) == (form.constants, "t")
+    one = FloatForm(("x", "v"), "c, -k * v", constants={"k": 2.0, "c": 3.0}).restricted((1,))
+    assert (one.args, one.result) == (("v",), "-k * v,")
+    assert one(0.5) == (-1.0,)
+
+
+@pytest.mark.parametrize("form", [
+    FloatForm.call(lambda t, x, v: (v, -x), ("x", "v"), time="t"),
+    FloatForm(("x", "v"), "f(v, x)", constants={"f": lambda v, x: (v, -x)}),
+    FloatForm(("x", "v"), "v, -x, 0.0"),
+    FloatForm(("x", "v"), "(*w,)", ["w = v, -x"]),
+    FloatForm(("x", "v"), "v, w", ["w = -x; z = v"]),
+    FloatForm(("x", "v"), "v, w", ["w = z = -x"]),
+    FloatForm(("x", "v"), "v, w[0]", ["w = [0.0]", "w[0] = -x"]),
+    FloatForm(("x", "v"), "1.0, w", ["u = (w := -x)"]),
+], ids=["call", "call-constant", "long-result", "starred", "two-statements", "chained",
+        "subscript-target", "assignment-expression"])
+def test_a_form_that_cannot_be_analysed_is_one_group(form):
+    assert form.groups == ((0, 1),)
+    assert form.restricted((0, 1)) is form
+    with pytest.raises(ValueError, match="not a union of the groups"):
+        form.restricted((0,))
