@@ -76,7 +76,6 @@ from .nonrel import (
     EnergyBreakdown,
     KinState3D,
     Potential3D,
-    Trajectory3D,
     barrier_report,
     energy_breakdown,
     integrate_newtonian,

@@ -8,8 +8,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification tolerance breach, 2 validation failure
 (a scenario path that is not a readable file, or a field rejected by this
 module's own walk over the schema that ``schema`` prints), 3 integration
-divergence, 4 output could not be written.  The env var ZITTERKIT_PRECISION
-(1..17) overrides the number of significant digits in CSV output.
+divergence, 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -263,7 +262,6 @@ def _validate_scenario(scn: dict):
             raise ValidationFailure(f"scenario field initial/potential: a {potential['type']!r} "
                                     f"potential requires {name!r}")
     if "output" in scn:
-        _precision(scn)  # an invalid ZITTERKIT_PRECISION fails before the run
         _check_writable(scn["output"]["path"])
 
 
@@ -341,15 +339,6 @@ def _span(scn: dict) -> tuple[float, float, int]:
     return integ["t_end"], integ["dt"], integ.get("stride", 1)
 
 
-def _precision(scn: dict) -> int:
-    env = os.environ.get("ZITTERKIT_PRECISION")
-    if env is None:
-        return scn.get("output", {}).get("precision", 17)
-    if not env.strip().isdecimal() or not 1 <= int(env) <= 17:
-        raise ValidationFailure(f"ZITTERKIT_PRECISION must be an integer in 1..17, got {env!r}")
-    return int(env)
-
-
 # the fewest rows worth a process of their own.  On a 2-vCPU VM a second
 # process (fork, reap, temporary file) cost ~3 ms and a 19-column row
 # 11-17 us to format, so two parts broke even at ~550 rows in all and saved
@@ -407,7 +396,7 @@ def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
         return []
     path = out["path"]
     fmt = out.get("format", "csv")
-    prec = _precision(scn)
+    prec = out.get("precision", 17)
     try:
         if fmt == "csv":
             _write_csv(path, header, rows, prec, _csv_parts(len(rows)))
@@ -438,14 +427,8 @@ def _fmt_items(items: dict) -> list[str]:
     return [f"  {k.ljust(width)}  {v:.3e}" for k, v in items.items()]
 
 
-def _hamilton_table(traj: dynamics.Trajectory) -> tuple[list[str], np.ndarray]:
-    header = (["tau"] + [f"x{mu}" for mu in range(4)] + [f"v{mu}" for mu in range(4)]
-              + [f"a{mu}" for mu in range(4)]
-              + ["H", "s1", "s2", "s3", "res_zbw", "res_pv"])
-    rec = traj.records
-    cols = [traj.times, traj.xs, traj.qs, traj.accs, rec["energy"][:, None],
-            rec["spin"], rec["zbw_residual"][:, None], rec["pv_residual"][:, None]]
-    return header, np.column_stack(cols)
+# the columns of a canonical run's CSV table, after its times
+_HAMILTON_COLUMNS = ("x", "v", "a", "H", "s", "res_zbw", "res_pv")
 
 
 def _summarize_hamilton(traj: dynamics.Trajectory, lines: list[str]):
@@ -469,21 +452,21 @@ def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     x_ref, v_ref, _ = sol.sample(traj.times)
     lines.append("closed-form oracle deviation:")
     lines.extend(_fmt_items({
-        "max |x - exact|": float(np.abs(traj.xs - x_ref).max()),
-        "max |v - exact|": float(np.abs(traj.qs - v_ref).max()),
+        "max |x - exact|": float(np.abs(traj["x"] - x_ref).max()),
+        "max |v - exact|": float(np.abs(traj["v"] - v_ref).max()),
     }))
     amp = np.abs(sol.cos_amp.components[1:]) + np.abs(sol.sin_amp.components[1:])
     if amp.max() > 0:
         comp = 1 + int(np.argmax(amp))
         try:
-            measured = dynamics.estimate_frequency(traj.times, traj.qs[:, comp])
+            measured = dynamics.estimate_frequency(traj.times, traj["v"][:, comp])
             lines.append(f"  measured frequency     {measured:.9g} (expected {sol.omega:g})")
         except ValueError:
             pass
     speeds = dynamics.check_superluminal(sol)
     lines.append(f"  max |dx/dt| over period  {speeds.max_coordinate_speed:.6g}"
                  f"   cm speed {speeds.cm_speed:.6g} (c={speeds.light_speed:g})")
-    return lines, _hamilton_table(traj)
+    return lines, traj.table("tau", _HAMILTON_COLUMNS)
 
 
 def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
@@ -495,7 +478,7 @@ def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     lines = [f"hamilton run: m={params.m:g} potential="
              f"{potential.label if potential else 'none'} samples={len(traj)}"]
     _summarize_hamilton(traj, lines)
-    return lines, _hamilton_table(traj)
+    return lines, traj.table("tau", _HAMILTON_COLUMNS)
 
 
 def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
@@ -508,15 +491,12 @@ def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     lines.append(f"  characteristic frequencies: {[round(f, 9) for f in freqs]}")
     for mu in range(1, 4):
         try:
-            measured = dynamics.estimate_frequency(traj.times, traj.blocks[:, 1, mu])
+            measured = dynamics.estimate_frequency(traj.times, traj["v0_"][:, mu])
             lines.append(f"  measured frequency of v{mu}: {measured:.6g}")
         except ValueError:
             continue
-    n_orders = traj.blocks.shape[1] - 1
-    header = (["tau"] + [f"x{mu}" for mu in range(4)]
-              + [f"v{i}_{mu}" for i in range(n_orders) for mu in range(4)])
-    rows = np.column_stack([traj.times, traj.blocks.reshape(len(traj), -1)])
-    return lines, (header, rows)
+    orders = [f"v{i}_" for i in range(len(traj.names) // 4 - 1)]
+    return lines, traj.table("tau", ["x", *orders])
 
 
 def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
@@ -526,9 +506,9 @@ def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     s0 = nonrel.KinState3D(t=0.0, x=init["x"], v=init["v"],
                            a=init.get("a", [0, 0, 0]), j=init.get("j", [0, 0, 0]))
     traj = nonrel.integrate_nr(s0, params, pot, *_span(scn))
-    drift = dynamics.relative_drift(traj.e_total)
+    drift = dynamics.relative_drift(traj["E_total"])
     work = nonrel.work_integral(traj, pot)
-    dkin = float(traj.e_kinetic[-1] - traj.e_kinetic[0])
+    dkin = float(traj["T"][-1] - traj["T"][0])
     lines = [f"nonrel run: m={params.m:g} potential={pot.label} samples={len(traj)}"]
     lines.extend(_fmt_items({
         "total energy rel drift": drift,
@@ -544,13 +524,8 @@ def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
                          f"max(U-E)={iv.max_excess:.3e} min v^2={iv.min_v_squared:.3e}")
     else:
         lines.append("barrier intervals: none")
-    header = (["t"] + [f"x{i}" for i in (1, 2, 3)] + [f"v{i}" for i in (1, 2, 3)]
-              + [f"a{i}" for i in (1, 2, 3)] + [f"j{i}" for i in (1, 2, 3)]
-              + ["T_newton", "T_zbw", "T", "U", "E_total"])
-    rows = np.column_stack([traj.times, traj.xs, traj.vs, traj.accs, traj.jerks,
-                            traj.e_newton, traj.e_zbw, traj.e_kinetic,
-                            traj.e_potential, traj.e_total])
-    return lines, (header, rows)
+    return lines, traj.table("t", ("x", "v", "a", "j", "T_newton", "T_zbw", "T", "U",
+                                   "E_total"))
 
 
 @dataclass

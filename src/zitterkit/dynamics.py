@@ -401,82 +401,66 @@ def eval_free(sol: FreeSolution, tau: float) -> tuple[FourVector, FourVector, Fo
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled trajectory.
+    """A sampled run of either theory.
 
-    ``blocks`` has shape (N, B, 4).  For ``kind="hamilton"`` the B=4 blocks
-    are (x, p, q, pi); for ``kind="free_general"`` they are x followed by the
-    velocity-derivative stack v^(0) .. v^(2n-1) and ``momentum`` carries the
-    conserved momentum.  ``records`` holds per-sample monitor columns.
+    ``samples`` has shape (N, n), as :func:`rk4_path` returns them, and
+    ``names`` names their columns (the float form's ``args``); ``records``
+    holds derived columns by name.  ``traj[name]`` is a record, or else the
+    view of the block of components named ``name`` plus one index
+    character: ``"x"`` is x0..x3 (x0..x2 in 3-D), ``"v0_"`` is v0_0..v0_3.
     """
 
     params: ModelParams
-    kind: str
     times: np.ndarray
-    blocks: np.ndarray
-    records: dict = field(default_factory=dict)
-    momentum: FourVector | None = None
+    samples: np.ndarray
+    names: tuple
+    records: dict
 
     def __post_init__(self):
         self.times.flags.writeable = False
-        self.blocks.flags.writeable = False
+        self.samples.flags.writeable = False
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self.blocks[:, 0, :]
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name in self.records:
+            return self.records[name]
+        columns = [c for c, arg in enumerate(self.names) if arg[:-1] == name]
+        if not columns:
+            raise KeyError(f"{name!r} is neither a record nor a block of {list(self.names)}")
+        return self.samples[:, columns[0]:columns[-1] + 1]
 
-    @property
-    def ps(self) -> np.ndarray:
-        self._require("hamilton")
-        return self.blocks[:, 1, :]
-
-    @property
-    def qs(self) -> np.ndarray:
-        self._require("hamilton")
-        return self.blocks[:, 2, :]
-
-    @property
-    def pis(self) -> np.ndarray:
-        self._require("hamilton")
-        return self.blocks[:, 3, :]
-
-    @property
-    def accs(self) -> np.ndarray:
-        return self.pis / self.params.k1
-
-    def _require(self, kind: str):
-        if self.kind != kind:
-            raise ValueError(f"operation requires a {kind!r} trajectory, got {self.kind!r}")
-
-    def state(self, i: int) -> PhasePoint:
-        self._require("hamilton")
-        return PhasePoint.from_array(self.blocks[i].reshape(16), tau=float(self.times[i]))
-
-    @property
-    def states(self) -> list[PhasePoint]:
-        return [self.state(i) for i in range(len(self))]
-
-    def stack(self, i: int) -> tuple[FourVector, list[FourVector]]:
-        """Position plus velocity-derivative stack at sample i (general order)."""
-        self._require("free_general")
-        b = self.blocks[i]
-        return FourVector.from_array(b[0]), [FourVector.from_array(r) for r in b[1:]]
+    def table(self, time: str, names) -> tuple[list[str], np.ndarray]:
+        """``(header, rows)`` of a table of the times, headed ``time``, and
+        the entry ``self[name]`` of each name.  An entry of k > 1 columns
+        is headed by its name with the indices 4 - k .. 3, so a 4-vector
+        gets 0..3 and a spatial 3-vector 1..3."""
+        header, columns = [time], [self.times]
+        for name in names:
+            column = self[name]
+            header += ([name] if column.ndim == 1
+                       else [f"{name}{i}" for i in range(4 - column.shape[1], 4)])
+            columns.append(column)
+        return header, np.column_stack(columns)
 
 
-def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPotential | None):
+def _hamilton_records(params: ModelParams, samples, potential: ScalarPotential | None):
+    """The records of a canonical run of ``samples`` (x, p, v, r blocks):
+    the acceleration ``a`` = r/k1, the conserved ``H`` = H_0 - U, the spin
+    vector ``s``, the velocity-equation and <p, v> = m residuals ``res_zbw``
+    and ``res_pv``, and ``pv``, ``onshell`` = <p, p> and ``zbw_square``."""
     m = params.m
     k1 = params.k1
-    p = blocks[:, 1, :]
-    q = blocks[:, 2, :]
-    pi = blocks[:, 3, :]
+    p = samples[:, 4:8]
+    q = samples[:, 8:12]
+    pi = samples[:, 12:16]
     if potential is None:
-        u = np.zeros(len(times))
+        u = np.zeros(len(samples))
     else:
-        u = potential.value_many(blocks[:, 0, :])
+        u = potential.value_many(samples[:, 0:4])
     pv = inner(p, q)
     # pointwise residual of the velocity equation, with the spin-tensor rate
     # S = k1 (q ^ a) expressed through the equations of motion (no finite
@@ -485,17 +469,18 @@ def _hamilton_records(params: ModelParams, times, blocks, potential: ScalarPoten
     sdot_p = k1 * (q * inner(adot, p)[:, None] - adot * pv[:, None])
     w = q - p / m
     return {
-        "energy": hamiltonian_rows(params, blocks.reshape(len(times), 16)) - u,
+        "a": pi / k1,
+        "H": hamiltonian_rows(params, samples) - u,
         "pv": pv,
         "onshell": inner(p, p),
-        "spin": spin_vector(wedge(q, pi)),
-        "zbw_residual": np.abs(w + sdot_p / m**2).max(axis=1),
-        "pv_residual": np.abs(pv - m),
+        "s": spin_vector(wedge(q, pi)),
+        "res_zbw": np.abs(w + sdot_p / m**2).max(axis=1),
+        "res_pv": np.abs(pv - m),
         "zbw_square": inner(w, w),
     }
 
 
-_HAMILTON_ARGS = tuple(f"{block}{mu}" for block in "xpqr" for mu in range(4))
+_HAMILTON_ARGS = tuple(f"{block}{mu}" for block in "xpvr" for mu in range(4))
 
 
 def integrate_hamilton(s0: PhasePoint, params: ModelParams,
@@ -503,13 +488,14 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
                        tau_end: float, dt: float, stride: int = 1) -> Trajectory:
     """RK4 integration of the n=1 canonical equations.
 
-    The evolution is xdot = q, pdot^mu = g^{mu nu} dU/dx^nu (the potential
-    gives the lower-index partials), qdot = pi/k1 and pidot = -(p - m q); for
-    the physical coefficient pi/k1 equals -(4 m c^4 / hbar^2) pi.  The
-    spatial force is -grad U, as in :func:`~zitterkit.nonrel.integrate_nr`,
-    and the ``energy`` record is the conserved H_0 - U.  Samples are
-    recorded every ``stride`` steps and the final time lands within dt of
-    ``tau_end``.
+    The evolution is xdot = v, pdot^mu = g^{mu nu} dU/dx^nu (the potential
+    gives the lower-index partials), vdot = r/k1 and rdot = -(p - m v), with
+    v the canonical q and r its conjugate pi; for the physical coefficient
+    r/k1 equals -(4 m c^4 / hbar^2) r.  The spatial force is -grad U, as in
+    :func:`~zitterkit.nonrel.integrate_nr`, and the ``H`` record is the
+    conserved H_0 - U (see :func:`_hamilton_records` for every record).
+    Samples are recorded every ``stride`` steps and the final time lands
+    within dt of ``tau_end``.
     """
     if params.n != 1:
         raise ValueError(f"the canonical integrator requires n=1, got n={params.n}")
@@ -519,29 +505,34 @@ def integrate_hamilton(s0: PhasePoint, params: ModelParams,
             else "0.0, 0.0, 0.0, 0.0")
     rates = FloatForm(
         _HAMILTON_ARGS,
-        f"q0, q1, q2, q3, {pdot}, r0 / k1, r1 / k1, r2 / k1, r3 / k1, "
-        "m * q0 - p0, m * q1 - p1, m * q2 - p2, m * q3 - p3",
+        f"v0, v1, v2, v3, {pdot}, r0 / k1, r1 / k1, r2 / k1, r3 / k1, "
+        "m * v0 - p0, m * v1 - p1, m * v2 - p2, m * v3 - p3",
         constants={"m": float(params.m), "k1": float(params.k1)}, time="tau")
     if potential is not None:
         rates = rates.spliced(potential.partials_form, ("g0", "g1", "g2", "g3"))
     times, samples = rk4_path(rates, s0.as_array(), s0.tau, dt, n_steps, stride)
-    blocks = samples.reshape(len(times), 4, 4)
-    records = _hamilton_records(params, times, blocks, potential)
-    return Trajectory(params=params, kind="hamilton", times=times,
-                      blocks=blocks, records=records)
+    return Trajectory(params, times, samples, rates.args,
+                      _hamilton_records(params, samples, potential))
+
+
+def _general_n_names(n: int) -> tuple:
+    """The components x0..x3, v0_0..v0_3, .. of the free state at order n:
+    x and v^(0) .. v^(2n-1), or v^(0) alone at n = 0."""
+    return tuple(f"x{mu}" for mu in range(4)) + tuple(
+        f"v{i}_{mu}" for i in range(max(1, 2 * n)) for mu in range(4))
 
 
 def _general_n_rates(n: int, neg_p, coeffs, scale: float) -> FloatForm:
     """The float form of :func:`integrate_free_general_n` at order n >= 1.
 
-    The rates are the shifted stack y4 .. y{N-1}, N = 4(2n+1), then for
-    each component c the sum ``((p{c} + c0 * y{4+c}) + c1 * y{12+c} + ...)
+    The rates are the shifted stack v0_0 .. v{2n-1}_3, then for each
+    component c the sum ``((p{c} + c0 * v0_{c}) + c1 * v2_{c} + ...)
     * scale`` with ``p{c} = neg_p[c]`` and ``c{i} = coeffs[i]``, written
     out term by term.
     """
-    args = tuple(f"y{i}" for i in range(4 * (2 * n + 1)))
+    args = _general_n_names(n)
     acc = ", ".join(
-        "(" + " + ".join([f"p{c}"] + [f"c{i} * y{4 * (2 * i + 1) + c}" for i in range(n)])
+        "(" + " + ".join([f"p{c}"] + [f"c{i} * v{2 * i}_{c}" for i in range(n)])
         + ") * scale" for c in range(4))
     constants = {**{f"p{c}": v for c, v in enumerate(neg_p)},
                  **{f"c{i}": v for i, v in enumerate(coeffs)}, "scale": scale}
@@ -555,8 +546,10 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
 
     ``stack`` must supply v^(0) .. v^(2n) so the conserved momentum can be
     computed from it; the integrated first-order state is x together with
-    v^(0) .. v^(2n-1), the highest derivative being closed through the
-    momentum relation.  n=0 is uniform motion and is evaluated exactly.
+    v^(0) .. v^(2n-1) (see :func:`_general_n_names`), the highest
+    derivative being closed through the momentum relation.  The record
+    ``p`` is the conserved momentum at every sample.  n=0 is uniform
+    motion and is evaluated exactly.
     """
     n_steps = step_count(tau_end, dt)
     n = params.n
@@ -565,21 +558,17 @@ def integrate_free_general_n(params: ModelParams, x0: FourVector,
     if n == 0:
         times = _sample_steps(n_steps, stride) * dt
         v = stack[0].components
-        blocks = np.empty((len(times), 2, 4))
-        blocks[:, 0, :] = x0.components + np.outer(times, v)
-        blocks[:, 1, :] = v
-        return Trajectory(params=params, kind="free_general", times=times,
-                          blocks=blocks, momentum=p)
-
-    scale = (-1.0) ** (n + 1) / params.k[n]
-    lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
-    nblocks = 2 * n + 1  # x plus v^(0) .. v^(2n-1)
-    rates = _general_n_rates(n, (-p.components).tolist(), lower_coeffs, scale)
-    y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
-    times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
-    blocks = samples.reshape(len(times), nblocks, 4)
-    return Trajectory(params=params, kind="free_general", times=times,
-                      blocks=blocks, momentum=p)
+        samples = np.empty((len(times), 8))
+        samples[:, 0:4] = x0.components + np.outer(times, v)
+        samples[:, 4:8] = v
+    else:
+        scale = (-1.0) ** (n + 1) / params.k[n]
+        lower_coeffs = [(-1.0) ** i * params.k[i] for i in range(n)]
+        rates = _general_n_rates(n, (-p.components).tolist(), lower_coeffs, scale)
+        y0 = np.concatenate([x0.components] + [stack[i].components for i in range(2 * n)])
+        times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
+    return Trajectory(params, times, samples, _general_n_names(n),
+                      {"p": np.broadcast_to(p.components, (len(times), 4))})
 
 
 def residual(label: str):
@@ -628,7 +617,6 @@ def _d5(values: np.ndarray, h: float) -> np.ndarray:
 def monitor(traj: Trajectory) -> MonitorReport:
     """Conservation and identity report for an n=1 canonical trajectory."""
     params = traj.params
-    traj._require("hamilton")
     n_total = len(traj)
     if n_total < 5:
         raise ValueError(f"monitor needs at least 5 samples, got {n_total}")
@@ -641,18 +629,18 @@ def monitor(traj: Trajectory) -> MonitorReport:
 
     m = params.m
     k1 = params.k1
-    p = traj.ps
-    q = traj.qs
-    a = traj.accs
+    p = traj["p"]
+    q = traj["v"]
+    a = traj["a"]
     pl = p * METRIC
 
-    s_tensor = wedge(q, traj.pis)
+    s_tensor = wedge(q, traj["r"])
     sp = np.einsum("nij,nj->ni", s_tensor, pl)
 
     momentum_drift = float(np.abs(p - p[0]).max())
-    energy_rel_drift = relative_drift(traj.records["energy"])
-    pv_constraint = float(traj.records["pv_residual"].max())
-    onshell_constraint = float(np.abs(traj.records["onshell"] - m * m).max())
+    energy_rel_drift = relative_drift(traj["H"])
+    pv_constraint = float(traj["res_pv"].max())
+    onshell_constraint = float(np.abs(traj["onshell"] - m * m).max())
 
     mid = slice(2, n_uni - 2)
     sdot = _d5(s_tensor[:n_uni], h)
@@ -669,7 +657,7 @@ def monitor(traj: Trajectory) -> MonitorReport:
     # acceleration form; the coefficient -k1*m is 1/4 in natural units
     spin_momentum_residual = float(np.abs(sp + (k1 * m) * a).max())
 
-    spin = traj.records["spin"]
+    spin = traj["s"]
     spin_drift = float(np.abs(spin - spin[0]).max())
 
     return MonitorReport(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rk4_path, step_count
+from .dynamics import Trajectory, rk4_path, step_count
 from .forms import FloatForm
 from .lagrangian import ModelParams, Potential, coordinates, potential_parameter
 
@@ -20,7 +20,6 @@ __all__ = [
     "KinState3D",
     "Potential3D",
     "EnergyBreakdown",
-    "Trajectory3D",
     "BarrierInterval",
     "zbw_coefficient",
     "nr_momentum",
@@ -177,46 +176,19 @@ def quantum_potential_analogue(params: ModelParams, s: KinState3D) -> float:
     return energy_breakdown(params, s, Potential3D.zero()).kinetic_zbw
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory3D:
-    """Sampled non-relativistic trajectory with per-sample energy records."""
-
-    params: ModelParams
-    times: np.ndarray
-    xs: np.ndarray
-    vs: np.ndarray
-    accs: np.ndarray
-    jerks: np.ndarray
-    e_newton: np.ndarray
-    e_zbw: np.ndarray
-    e_kinetic: np.ndarray
-    e_potential: np.ndarray
-    e_total: np.ndarray
-    newtonian: bool = False
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state(self, i: int) -> KinState3D:
-        return KinState3D(t=float(self.times[i]), x=self.xs[i], v=self.vs[i],
-                          a=self.accs[i], j=self.jerks[i])
-
-
-def _make_traj(params, pot, times, xs, vs, accs, jerks, newtonian=False) -> Trajectory3D:
-    kn, kz, kinetic, u, total = _energy_split(params, pot, xs, vs, accs, jerks, newtonian)
-    return Trajectory3D(params=params, times=times, xs=xs, vs=vs, accs=accs,
-                        jerks=jerks, e_newton=kn, e_zbw=kz, e_kinetic=kinetic,
-                        e_potential=u, e_total=total, newtonian=newtonian)
+_ENERGIES = ("T_newton", "T_zbw", "T", "U", "E_total")
 
 
 def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
-                 t_end: float, dt: float, stride: int = 1) -> Trajectory3D:
+                 t_end: float, dt: float, stride: int = 1) -> Trajectory:
     """RK4 on the 12-dimensional first-order reduction of the force law.
 
     The highest derivative is solved for algebraically:
     djdt = (F(x) - m a) / (-k1) with F = -grad U, where 1 / (-k1) is
     4 m c^4 / hbar^2 for the physical coefficient.  Raises ValueError
-    unless the model is the first-order theory, n = 1.
+    unless the model is the first-order theory, n = 1.  The records are
+    the fields of :class:`EnergyBreakdown`: ``T_newton``, ``T_zbw``, ``T``,
+    ``U`` and ``E_total``.
     """
     if params.n != 1:
         raise ValueError(f"the non-relativistic integrator requires n=1, got n={params.n}")
@@ -231,16 +203,18 @@ def integrate_nr(s0: KinState3D, params: ModelParams, pot: Potential3D,
 
     y0 = np.concatenate([s0.x, s0.v, s0.a, s0.j])
     times, samples = rk4_path(rates, y0, s0.t, dt, n_steps, stride)
-    return _make_traj(params, pot, times, samples[:, 0:3], samples[:, 3:6],
-                      samples[:, 6:9], samples[:, 9:12])
+    energies = _energy_split(params, pot, samples[:, 0:3], samples[:, 3:6],
+                             samples[:, 6:9], samples[:, 9:12])
+    return Trajectory(params, times, samples, rates.args, dict(zip(_ENERGIES, energies)))
 
 
 def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
-                        t_end: float, dt: float, stride: int = 1) -> Trajectory3D:
+                        t_end: float, dt: float, stride: int = 1) -> Trajectory:
     """Plain second-order Newtonian control run, m a = F.
 
-    Recorded accelerations are F/m and jerks are zero; the energy samples use
-    the Newtonian kinetic term only.
+    Besides the energy records of :func:`integrate_nr`, which use the
+    Newtonian kinetic term only, it records the acceleration ``a`` = F/m and
+    the jerk ``j`` = 0.
     """
     n_steps = step_count(t_end, dt)
     x0 = _vec3(x0, "x0")
@@ -254,13 +228,14 @@ def integrate_newtonian(x0, v0, params: ModelParams, pot: Potential3D,
     y0 = np.concatenate([x0, v0])
     times, samples = rk4_path(rates, y0, 0.0, dt, n_steps, stride)
     xs = samples[:, 0:3]
-    accs = -pot.gradient(xs) / m
-    jerks = np.zeros_like(xs)
-    return _make_traj(params, pot, times, xs, samples[:, 3:6], accs, jerks,
-                      newtonian=True)
+    records = {"a": -pot.gradient(xs) / m, "j": np.zeros_like(xs)}
+    energies = _energy_split(params, pot, xs, samples[:, 3:6], records["a"], records["j"],
+                             newtonian=True)
+    return Trajectory(params, times, samples, rates.args,
+                      {**records, **dict(zip(_ENERGIES, energies))})
 
 
-def work_integral(traj: Trajectory3D, pot: Potential3D) -> float:
+def work_integral(traj: Trajectory, pot: Potential3D) -> float:
     """Trapezoidal integral of F . v along the trajectory.
 
     Equals the change of the generalized kinetic energy between the endpoints
@@ -268,8 +243,8 @@ def work_integral(traj: Trajectory3D, pot: Potential3D) -> float:
     """
     if len(traj) < 2:
         raise ValueError("work integral needs at least 2 samples")
-    force = -pot.gradient(traj.xs)
-    integrand = (force * traj.vs).sum(1)
+    force = -pot.gradient(traj["x"])
+    integrand = (force * traj["v"]).sum(1)
     dt = np.diff(traj.times)
     return float(0.5 * ((integrand[1:] + integrand[:-1]) * dt).sum())
 
@@ -285,7 +260,7 @@ class BarrierInterval:
     min_v_squared: float
 
 
-def barrier_report(traj: Trajectory3D, pot: Potential3D, margin: float = 1e-12,
+def barrier_report(traj: Trajectory, pot: Potential3D, margin: float = 1e-12,
                    merge_gap: int = 3) -> list[BarrierInterval]:
     """Maximal time intervals with U(x(t)) > E_total and v^2 > 0.
 
@@ -294,9 +269,9 @@ def barrier_report(traj: Trajectory3D, pot: Potential3D, margin: float = 1e-12,
     empty list when the motion never enters a forbidden region (always the
     case for Newtonian runs).
     """
-    u = pot.value_many(traj.xs)
-    excess = u - traj.e_total
-    v2 = (traj.vs**2).sum(1)
+    u = pot.value_many(traj["x"])
+    excess = u - traj["E_total"]
+    v2 = (traj["v"]**2).sum(1)
     mask = (excess > margin) & (v2 > margin)
     idx = np.nonzero(mask)[0]
     if idx.size == 0:

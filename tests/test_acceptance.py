@@ -58,7 +58,7 @@ def standard_run():
 def test_c01_analytic_oracle_agreement(standard_run):
     sol, traj = standard_run
     x_ref, v_ref, _ = sol.sample(traj.times)
-    err = max(np.abs(traj.xs - x_ref).max(), np.abs(traj.qs - v_ref).max())
+    err = max(np.abs(traj["x"] - x_ref).max(), np.abs(traj["v"] - v_ref).max())
 
     errors = [err]
     dts = [1e-3, 5e-4, 2.5e-4]
@@ -66,7 +66,7 @@ def test_c01_analytic_oracle_agreement(standard_run):
         t = integrate_hamilton(sol.initial_phase_point(), sol.params, None,
                                TAU_END, dt, stride=8)
         xr, vr, _ = sol.sample(t.times)
-        errors.append(max(np.abs(t.xs - xr).max(), np.abs(t.qs - vr).max()))
+        errors.append(max(np.abs(t["x"] - xr).max(), np.abs(t["v"] - vr).max()))
     order = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     ok = err <= 1e-6 and order >= 3.5
     report(1, "analytic-oracle agreement", ok,
@@ -78,7 +78,7 @@ def test_c02_conservation(standard_run):
     rep = monitor(traj)
     steps = len(traj) - 1
     p_tol = 1e-12 * steps / 1e4
-    energy = traj.records["energy"]
+    energy = traj["H"]
     h_err = np.abs(energy - 0.51).max()
     ok = (rep.momentum_drift <= p_tol and h_err <= 1e-8
           and rep.spin_drift <= 1e-8 and rep.pv_constraint <= 1e-8
@@ -96,7 +96,7 @@ def test_c03_compton_frequency(mass):
     periods = 5
     traj = integrate_hamilton(sol.initial_phase_point(), params, None,
                               periods * 2 * math.pi / expected, 2e-3)
-    measured = estimate_frequency(traj.times, traj.qs[:, 1])
+    measured = estimate_frequency(traj.times, traj["v"][:, 1])
     rel = abs(measured - expected) / expected
     report(3, f"Compton frequency (m={mass})", rel <= 1e-4,
            f"measured {measured:.8g}, expected {expected:g}, rel err {rel:.2e}")
@@ -141,8 +141,8 @@ def test_c06_work_energy_theorem():
         traj = integrate_nr(s0, PARAMS, pot, 10.0, 1e-4)
         assert len(traj) - 1 == 100000
         work = work_integral(traj, pot)
-        dkin = traj.e_kinetic[-1] - traj.e_kinetic[0]
-        drift = np.abs(traj.e_total - traj.e_total[0]).max() / abs(traj.e_total[0])
+        dkin = traj["T"][-1] - traj["T"][0]
+        drift = np.abs(traj["E_total"] - traj["E_total"][0]).max() / abs(traj["E_total"][0])
         ok = ok and abs(work - dkin) <= 1e-6 and drift <= 1e-8
         details.append(f"{name}: |W-dT| {abs(work - dkin):.2e}, E drift {drift:.2e}")
     report(6, "work-energy theorem", ok, "; ".join(details))
@@ -158,7 +158,7 @@ def test_c07_classical_tunnel_analogue():
     circle_ok = (len(intervals) == 1
                  and intervals[0].t_start == traj.times[0]
                  and intervals[0].t_end == traj.times[-1]
-                 and abs(traj.e_total[0] + 0.01) <= 1e-12)
+                 and abs(traj["E_total"][0] + 0.01) <= 1e-12)
 
     # Gaussian barrier: scan 16 oscillation phases, at least one genuine
     # crossing with a forbidden interval
@@ -172,8 +172,8 @@ def test_c07_classical_tunnel_analogue():
             a=[-0.3 * math.sin(phase), 0.0, 0.0],
             j=[-0.6 * math.cos(phase), 0.0, 0.0])
         run = integrate_nr(s0, PARAMS, pot, 35.0, 5e-3)
-        assert run.e_total[0] < 0.015
-        if barrier_report(run, pot) and run.xs[-1, 0] > 1.5:
+        assert run["E_total"][0] < 0.015
+        if barrier_report(run, pot) and run["x"][-1, 0] > 1.5:
             crossings += 1
 
     # Newtonian control at comparable energy never reports an interval
@@ -208,8 +208,8 @@ def test_c10_general_n_frequencies():
              FourVector(0, 0.2, 2.4, 0)]
     traj = integrate_free_general_n(params, FourVector.zero(), stack,
                                     10 * math.pi, 2e-3)
-    f1 = estimate_frequency(traj.times, traj.blocks[:, 1, 1])
-    f2 = estimate_frequency(traj.times, traj.blocks[:, 1, 2])
+    f1 = estimate_frequency(traj.times, traj["v0_"][:, 1])
+    f2 = estimate_frequency(traj.times, traj["v0_"][:, 2])
     ok = abs(f1 - expected[0]) <= 1e-3 and abs(f2 - expected[1]) <= 1e-3
     report(10, "general-n frequencies", ok,
            f"measured ({f1:.6f}, {f2:.6f}) vs {tuple(expected)}")
@@ -221,9 +221,9 @@ def test_c11_superluminal_acceptance():
     assert np.linalg.norm(sol.sample(0.0)[1][0, 1:]) == pytest.approx(1.5)
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None,
                               math.pi, 1e-3)
-    speeds = np.linalg.norm(traj.qs[:, 1:], axis=1) / traj.qs[:, 0]
+    speeds = np.linalg.norm(traj["v"][:, 1:], axis=1) / traj["v"][:, 0]
     speed_report = check_superluminal(sol)
-    ok = (np.isfinite(traj.blocks).all() and speeds.max() > 1.0
+    ok = (np.isfinite(traj.samples).all() and speeds.max() > 1.0
           and speed_report.cm_speed < 1.0)
     report(11, "superluminal acceptance", ok,
            f"max integrated |dx/dt| {speeds.max():.3f} > 1 accepted, "

@@ -165,10 +165,10 @@ def test_bracket_rates_match_trajectory_derivatives():
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None,
                               0.5, 1e-3, stride=10)
     h = traj.times[1] - traj.times[0]
-    blocks = traj.blocks
+    blocks = traj.samples.reshape(len(traj), 4, 4)
     hf = hamiltonian_function(PARAMS)
     for i in (5, 20, 35):
-        s = traj.state(i)
+        s = PhasePoint.from_array(traj.samples[i], tau=float(traj.times[i]))
         fd = (blocks[i - 2] - 8 * blocks[i - 1] + 8 * blocks[i + 1] - blocks[i + 2]) / (12 * h)
         for bi, name in enumerate(("x", "p", "q", "pi")):
             for mu in range(4):

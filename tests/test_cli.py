@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tempfile
 import time
 
 import numpy as np
@@ -168,8 +169,7 @@ def _format_table_reference(rows, prec):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=st.lists(st.lists(st.floats(), min_size=len(SPECIAL_ROW),
                               max_size=len(SPECIAL_ROW)), max_size=8))
-def test_csv_rows_match_per_value_format(tmp_path, monkeypatch, prec, body):
-    monkeypatch.delenv("ZITTERKIT_PRECISION", raising=False)
+def test_csv_rows_match_per_value_format(tmp_path, prec, body):
     rows = np.array([SPECIAL_ROW] + body)
     header = [f"c{i}" for i in range(rows.shape[1])]
     path = tmp_path / "table.csv"
@@ -238,10 +238,10 @@ def test_shipped_scenario_csv_matches_recorded_digest(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-def test_precision_env_override(tmp_path, monkeypatch):
+def test_precision_env_override(tmp_path):
+    # output.precision set from the command line
     path = short_free_scenario(tmp_path)
-    monkeypatch.setenv("ZITTERKIT_PRECISION", "6")
-    assert main(["run", str(path)]) == 0
+    assert main(["run", str(path), "--set", "output.precision=6"]) == 0
     row = (tmp_path / "out.csv").read_text().splitlines()[2]
     for field in row.split(","):
         digits = field.split("e")[0].replace("-", "").replace(".", "")
@@ -393,11 +393,10 @@ def test_potential_without_a_parameter_exits_2(tmp_path, capsys, kind, ptype, fi
 
 
 @pytest.mark.parametrize("precision", ["0", "18", "six"])
-def test_precision_env_out_of_range_exits_2(tmp_path, monkeypatch, capsys, precision):
-    monkeypatch.setenv("ZITTERKIT_PRECISION", precision)
+def test_precision_env_out_of_range_exits_2(tmp_path, capsys, precision):
     path = short_free_scenario(tmp_path)
-    assert main(["run", str(path)]) == 2
-    assert "ZITTERKIT_PRECISION" in capsys.readouterr().err
+    assert main(["run", str(path), "--set", f"output.precision={precision}"]) == 2
+    assert "output/precision" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -571,10 +570,9 @@ def test_precision_env_is_rejected_before_integrating(tmp_path, monkeypatch, cap
         raise AssertionError("integration started with an invalid precision")
 
     monkeypatch.setattr(dynamics, "rk4_path", refuse)
-    monkeypatch.setenv("ZITTERKIT_PRECISION", "0")
     path = short_free_scenario(tmp_path)
-    assert main(["run", str(path)]) == 2
-    assert "ZITTERKIT_PRECISION" in capsys.readouterr().err
+    assert main(["run", str(path), "--set", "output.precision=0"]) == 2
+    assert "output/precision" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -637,21 +635,32 @@ def test_verify_breach_exits_1(capsys, monkeypatch):
 
 def verify_on(cpus, argv, capfd):
     """``main(argv)`` run as if this process may run on ``cpus`` CPUs: its
-    exit code, stdout and stderr, and how many children it forked."""
-    forked, fork = [], os.fork
+    exit code, stdout and stderr, and how many children it and its
+    descendants forked.  A forked child sees one CPU, as a pinned child
+    does."""
+    here, fork = os.getpid(), os.fork
+    handle, log = tempfile.mkstemp()
+    os.close(handle)
 
     def counted_fork():
         pid = fork()
-        if pid:
-            forked.append(pid)
+        if pid:  # appended by whichever process forked, children included
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{pid}\n")
         return pid
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(os, "fork", counted_fork)
-        code = main(argv)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid: set(range(cpus if os.getpid() == here else 1)))
+            patch.setattr(os, "fork", counted_fork)
+            code = main(argv)
+        with open(log, encoding="utf-8") as fh:
+            forks = len(fh.read().split())
+    finally:
+        os.remove(log)
     out, err = capfd.readouterr()
-    return code, out, err, len(forked)
+    return code, out, err, forks
 
 
 @pytest.mark.parametrize("seed", [1, 20250810, 20250813])

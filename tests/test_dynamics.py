@@ -115,19 +115,19 @@ def test_eval_free_newtonian_limit():
 def test_integrate_hamilton_matches_closed_form(standard_run):
     sol, traj = standard_run
     x_ref, v_ref, a_ref = sol.sample(traj.times)
-    assert np.abs(traj.xs - x_ref).max() <= 1e-6
-    assert np.abs(traj.qs - v_ref).max() <= 1e-6
-    assert np.abs(traj.accs - a_ref).max() <= 1e-6
+    assert np.abs(traj["x"] - x_ref).max() <= 1e-6
+    assert np.abs(traj["v"] - v_ref).max() <= 1e-6
+    assert np.abs(traj["a"] - a_ref).max() <= 1e-6
 
 
 def test_integrate_hamilton_oscillator_form(standard_run):
     # the canonical velocity must obey qddot + w^2 q = -p/k1
     sol, traj = standard_run
-    q = traj.qs
+    q = traj["v"]
     h = traj.times[1] - traj.times[0]
     qdd = (-q[:-4] + 16 * q[1:-3] - 30 * q[2:-2] + 16 * q[3:-1] - q[4:]) / (12 * h * h)
     w2 = sol.omega**2
-    rhs = -traj.ps[2:-2] / PARAMS.k1
+    rhs = -traj["p"][2:-2] / PARAMS.k1
     resid = qdd + w2 * q[2:-2] - rhs
     assert np.abs(resid).max() <= 1e-6
 
@@ -135,10 +135,10 @@ def test_integrate_hamilton_oscillator_form(standard_run):
 def test_integrate_hamilton_newtonian_start():
     sol = make_free_solution(PARAMS, P_CMF, FourVector.zero(), FourVector.zero())
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, 1.0, 1e-3)
-    assert np.abs(traj.qs - traj.qs[0]).max() == 0.0
-    assert np.all(traj.pis == 0.0)
+    assert np.abs(traj["v"] - traj["v"][0]).max() == 0.0
+    assert np.all(traj["r"] == 0.0)
     x_expected = np.outer(traj.times, sol.p.components)
-    assert np.abs(traj.xs - x_expected).max() <= 1e-12
+    assert np.abs(traj["x"] - x_expected).max() <= 1e-12
 
 
 def test_integrate_hamilton_validation():
@@ -518,7 +518,7 @@ def test_integrate_nr_matches_the_textbook_closure(name):
         traj = integrate_nr(s0, PARAMS, pot, 0.05, 1e-3, stride=3)
         times, samples = _reference_rk4(_textbook(deriv), _nr_state(s0), 0.25, 1e-3, 50, 3)
         assert np.array_equal(traj.times, times)
-        _assert_bit_identical(np.hstack([traj.xs, traj.vs, traj.accs, traj.jerks]), samples)
+        _assert_bit_identical(np.hstack([traj["x"], traj["v"], traj["a"], traj["j"]]), samples)
 
 
 def _rates_of(monkeypatch, target, integrate):
@@ -614,7 +614,7 @@ def test_integrate_newtonian_matches_the_textbook_closure(name):
         times, samples = _reference_rk4(_textbook(deriv), np.concatenate([x0, v0]),
                                         0.0, 1e-3, 50, 3)
         assert np.array_equal(traj.times, times)
-        _assert_bit_identical(np.hstack([traj.xs, traj.vs]), samples)
+        _assert_bit_identical(np.hstack([traj["x"], traj["v"]]), samples)
         # from the first start the z axis is at rest at -0.0, so the sign of
         # every zero the closure writes is compared too; 0 - g / m, say,
         # would turn -0.0 into +0.0
@@ -642,10 +642,11 @@ def test_energy_record_is_the_one_hamiltonian(name):
     potential = HAMILTON_POTENTIALS[name]
     traj = integrate_hamilton(boosted_solution().initial_phase_point(), PARAMS, potential,
                               0.5, 1e-3, stride=25)
-    u = np.zeros(len(traj)) if potential is None else potential.value_many(traj.xs)
-    energy = traj.records["energy"]
-    assert np.array_equal(energy, hamiltonian_function(PARAMS)(traj.blocks.reshape(-1, 16)) - u)
-    assert energy.tolist() == [hamiltonian(PARAMS, s, float(v)) for s, v in zip(traj.states, u)]
+    u = np.zeros(len(traj)) if potential is None else potential.value_many(traj["x"])
+    energy = traj["H"]
+    assert np.array_equal(energy, hamiltonian_function(PARAMS)(traj.samples) - u)
+    assert energy.tolist() == [hamiltonian(PARAMS, PhasePoint.from_array(y), float(v))
+                               for y, v in zip(traj.samples, u)]
 
 
 def _hamilton_starts():
@@ -680,7 +681,7 @@ def test_integrate_hamilton_matches_the_textbook_closure(name):
         traj = integrate_hamilton(s0, PARAMS, potential, 0.05, 1e-3, stride=4)
         times, samples = _reference_rk4(_textbook(deriv), y0, 0.5, 1e-3, 50, 4)
         assert np.array_equal(traj.times, times)
-        _assert_bit_identical(traj.blocks.reshape(len(times), 16), samples)
+        _assert_bit_identical(traj.samples, samples)
 
 
 GENERAL_N_PARAMS = {
@@ -735,7 +736,7 @@ def test_integrate_free_general_n_matches_the_textbook_closure():
         y0 = _general_n_state(2, x0, stack)
         times, samples = _reference_rk4(_textbook(deriv), y0, 0.0, 2e-3, 50, 7)
         assert np.array_equal(traj.times, times)
-        _assert_bit_identical(traj.blocks.reshape(len(times), 20), samples)
+        _assert_bit_identical(traj.samples, samples)
 
 
 def _hamilton_rates(monkeypatch, potential):
@@ -787,10 +788,10 @@ def test_forced_run_conserves_energy():
     sol = standard_solution()
     pot = ScalarPotential.harmonic_spatial(0.05)
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, pot, 2.0, 1e-3)
-    energy = traj.records["energy"]
+    energy = traj["H"]
     assert np.abs(energy - energy[0]).max() <= 1e-8 * abs(energy[0])
     # momentum is no longer conserved once a force acts
-    assert np.abs(traj.ps - traj.ps[0]).max() > 1e-6
+    assert np.abs(traj["p"] - traj["p"][0]).max() > 1e-6
 
 
 def test_harmonic_spatial_confines():
@@ -799,25 +800,32 @@ def test_harmonic_spatial_confines():
     s0 = PhasePoint(x=FourVector(0, 1, 0, 0), p=FourVector(1, 0, 0, 0),
                     q=FourVector(1, 0, 0, 0), pi=FourVector.zero())
     traj = integrate_hamilton(s0, PARAMS, ScalarPotential.harmonic_spatial(0.05), 20.0, 1e-3)
-    assert np.abs(traj.xs[:, 1]).max() <= 1.01
-    energy = traj.records["energy"]
+    assert np.abs(traj["x"][:, 1]).max() <= 1.01
+    energy = traj["H"]
     assert np.abs(energy - energy[0]).max() <= 1e-14
 
 
-@pytest.mark.parametrize("k", [0.05, 0.5])
-def test_rest_frame_hamilton_run_reproduces_integrate_nr(k):
-    # with p^0 = q^0 = m and pi^0 = 0 the time components stay put and the
-    # spatial blocks obey the non-relativistic equations: p = m v - k1 j
-    # and pi = k1 a, under the same force -grad U
+@pytest.mark.parametrize("k, time", [
+    # at rest, p^0 = m, q^0 = 1 and pi^0 = 0, the time components stay put
+    pytest.param(0.05, (0.0, PARAMS.m, 1.0, 0.0), id="0.05"),
+    pytest.param(0.5, (0.0, PARAMS.m, 1.0, 0.0), id="0.5"),
+    *(pytest.param(k, (0.7, 1.3, 1.1, pi0), id=f"{k}-moving-pi0={pi0}")
+      for k in (0.05, 0.5) for pi0 in (0.2, -0.4)),
+])
+def test_rest_frame_hamilton_run_reproduces_integrate_nr(k, time):
+    # the spatial blocks obey the non-relativistic equations, p = m v - k1 j
+    # and pi = k1 a under the same force -grad U, and their rates never read
+    # the time components (x^0, p^0, q^0, pi^0) = time, at rest or not
     x, v, a, j = (np.array(c) for c in ([1, .2, 0], [0, .3, .1], [.1, 0, .2], [0, -.1, .05]))
     m, k1 = PARAMS.m, PARAMS.k1
+    x0, p0, q0, pi0 = time
     nr = integrate_nr(KinState3D(t=0.0, x=x, v=v, a=a, j=j), PARAMS, Potential3D.harmonic(k),
                       10.0, 1e-3)
-    s0 = PhasePoint(x=FourVector(0, *x), p=FourVector(m, *(m * v - k1 * j)),
-                    q=FourVector(1, *v), pi=FourVector(0, *(k1 * a)))
+    s0 = PhasePoint(x=FourVector(x0, *x), p=FourVector(p0, *(m * v - k1 * j)),
+                    q=FourVector(q0, *v), pi=FourVector(pi0, *(k1 * a)))
     traj = integrate_hamilton(s0, PARAMS, ScalarPotential.harmonic_spatial(k), 10.0, 1e-3)
     assert np.array_equal(traj.times, nr.times)
-    assert np.abs(traj.xs[:, 1:] - nr.xs).max() <= 1e-14 * np.abs(nr.xs).max()
+    assert np.abs(traj["x"][:, 1:] - nr["x"]).max() <= 1e-14 * np.abs(nr["x"]).max()
 
 
 def test_forced_run_stays_array_first(monkeypatch):
@@ -842,9 +850,9 @@ def test_general_n1_matches_hamilton(standard_run):
     _, v0, a0 = eval_free(sol, 0.0)
     adot0 = FourVector.from_array(-sol.omega**2 * (v0.components - sol.p.components))
     traj = integrate_free_general_n(PARAMS, sol.x0, [v0, a0, adot0], math.pi, 1e-3)
-    assert np.abs(traj.xs - hamilton_traj.xs).max() <= 1e-9
-    assert np.abs(traj.blocks[:, 1, :] - hamilton_traj.qs).max() <= 1e-9
-    np.testing.assert_allclose(traj.momentum.components, sol.p.components, atol=1e-12)
+    assert np.abs(traj["x"] - hamilton_traj["x"]).max() <= 1e-9
+    assert np.abs(traj["v0_"] - hamilton_traj["v"]).max() <= 1e-9
+    np.testing.assert_allclose(traj["p"][0], sol.p.components, atol=1e-12)
 
 
 def test_general_n2_single_mode():
@@ -853,7 +861,7 @@ def test_general_n2_single_mode():
     stack = [FourVector(1, amp, 0, 0), FourVector.zero(), FourVector(0, -amp, 0, 0),
              FourVector.zero(), FourVector(0, amp, 0, 0)]
     traj = integrate_free_general_n(params, FourVector.zero(), stack, 6 * math.pi, 2e-3)
-    freq = estimate_frequency(traj.times, traj.blocks[:, 1, 1])
+    freq = estimate_frequency(traj.times, traj["v0_"][:, 1])
     assert freq == pytest.approx(1.0, abs=1e-3)
 
 
@@ -862,17 +870,17 @@ def test_general_n_zero_oscillation_is_uniform():
     v = FourVector(1, 0.25, 0, 0)
     stack = [v] + [FourVector.zero()] * 4
     traj = integrate_free_general_n(params, FourVector.zero(), stack, 2.0, 1e-2)
-    assert np.abs(traj.blocks[:, 1, :] - v.components).max() <= 1e-12
+    assert np.abs(traj["v0_"] - v.components).max() <= 1e-12
     x_expected = np.outer(traj.times, v.components)
-    assert np.abs(traj.xs - x_expected).max() <= 1e-12
+    assert np.abs(traj["x"] - x_expected).max() <= 1e-12
 
 
 def test_general_n0_exact_uniform_motion():
     params = ModelParams(m=2.0, n=0)
     v = FourVector(1, 0.3, -0.1, 0)
     traj = integrate_free_general_n(params, FourVector.zero(), [v], 5.0, 1e-2)
-    np.testing.assert_array_equal(traj.blocks[:, 1, :] - v.components, 0.0)
-    np.testing.assert_allclose(traj.momentum.components, 2.0 * v.components)
+    np.testing.assert_array_equal(traj["v0_"] - v.components, 0.0)
+    np.testing.assert_allclose(traj["p"][0], 2.0 * v.components)
 
 
 def test_monitor_standard_run(standard_run):
@@ -934,10 +942,11 @@ def test_boosting_commutes_with_integrating(rapidity, theta, phi):
     traj = integrate_hamilton(s0, PARAMS, None, 2.0, 1e-2)
     boosted = integrate_hamilton(PhasePoint.from_array(s0.as_array().reshape(4, 4) @ lam.T),
                                  PARAMS, None, 2.0, 1e-2)
-    expected = traj.blocks @ lam.T
-    assert np.abs(boosted.blocks - expected).max() <= 2e-15 * np.abs(expected).max()
-    for name in ("energy", "pv", "onshell"):
-        assert (np.abs(boosted.records[name] - traj.records[name]).max()
+    expected = traj.samples.reshape(-1, 4, 4) @ lam.T
+    assert (np.abs(boosted.samples.reshape(-1, 4, 4) - expected).max()
+            <= 2e-15 * np.abs(expected).max())
+    for name in ("H", "pv", "onshell"):
+        assert (np.abs(boosted[name] - traj[name]).max()
                 <= 4e-15 * math.cosh(rapidity) ** 2)
 
 
@@ -975,7 +984,7 @@ def test_pv_equals_the_mass_along_boosted_free_runs(m, rapidity, theta, phi, cos
     # 256 steps) |<p, v> - m| reached 1.06e-15 of |p| |v| (Euclidean norms,
     # sample by sample)
     _, traj = boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, 2, 256)
-    ps, vs = traj.blocks[:, 1], traj.blocks[:, 2]
+    ps, vs = traj["p"], traj["v"]
     scale = np.linalg.norm(ps, axis=1) * np.linalg.norm(vs, axis=1)
     worst = float(np.max(np.abs((ps * METRIC * vs).sum(axis=1) - m) / scale))
     assert worst <= 4e-15
@@ -990,7 +999,7 @@ def test_period_mean_of_v0_is_p0_over_m(m, rapidity, theta, phi, cos_amp, sin_am
     # 400 at the corners of the ranges
     sol, traj = boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, 2, 256)
     drift = sol.p[0] / m
-    mean = float(traj.blocks[:-1, 2, 0].mean())
+    mean = float(traj["v"][:-1, 0].mean())
     assert abs(mean - drift) <= 5e-9 * drift
 
 
@@ -1011,21 +1020,28 @@ def test_monitor_requires_enough_samples():
         monitor(traj)
 
 
+@pytest.mark.parametrize("name, missing", [("free_general_n", "v"), ("nr", "p")])
+def test_monitor_names_what_a_non_canonical_run_lacks(name, missing):
+    traj = INTEGRATORS[name](0.01, 1e-3)
+    with pytest.raises(KeyError, match=f"'{missing}' is neither a record nor a block"):
+        monitor(traj)
+
+
 def test_zbw_square_stays_spacelike_for_orthogonal_amplitudes(standard_run):
     # with <cos_amp, sin_amp> = 0 the oscillatory velocity part is spacelike
     _, traj = standard_run
-    assert traj.records["zbw_square"].max() <= 1e-12
+    assert traj["zbw_square"].max() <= 1e-12
     sol = boosted_solution()
     assert abs(dot(sol.cos_amp, sol.sin_amp)) <= 1e-15
     traj_b = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, 1.0, 1e-3)
-    assert traj_b.records["zbw_square"].max() <= 1e-12
+    assert traj_b["zbw_square"].max() <= 1e-12
 
 
 def test_helix_geometry_boosted():
     # positions minus the drift lie on an ellipse in the oscillation plane
     sol = boosted_solution()
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, math.pi, 1e-3)
-    rel = (traj.xs - sol.x0.components
+    rel = (traj["x"] - sol.x0.components
            - np.outer(traj.times, sol.p.components) / PARAMS.m)
     ea = sol.cos_amp.components
     ha = sol.sin_amp.components
@@ -1095,7 +1111,7 @@ def test_convergence_order_of_rk4():
     for dt in dts:
         traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, math.pi, dt)
         x_ref, v_ref, _ = sol.sample(traj.times)
-        errors.append(max(np.abs(traj.xs - x_ref).max(), np.abs(traj.qs - v_ref).max()))
+        errors.append(max(np.abs(traj["x"] - x_ref).max(), np.abs(traj["v"] - v_ref).max()))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope >= 3.5
 
@@ -1110,7 +1126,7 @@ def test_newton_residual_on_integrated_solution(standard_run):
     def d5(f):
         return (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
 
-    acc = traj.accs
+    acc = traj["a"]
     adot = d5(acc)
     addot = d5(adot)
     worst = 0.0
@@ -1126,7 +1142,7 @@ def test_newton_residual_on_integrated_solution(standard_run):
 def test_frequency_measurement_matches_model():
     sol = standard_solution()
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, 2 * math.pi, 1e-3)
-    freq = estimate_frequency(traj.times, traj.qs[:, 1])
+    freq = estimate_frequency(traj.times, traj["v"][:, 1])
     assert freq == pytest.approx(sol.omega, rel=1e-4)
     assert characteristic_frequencies(PARAMS) == pytest.approx([sol.omega])
 

@@ -60,11 +60,11 @@ def test_integrate_nr_honours_the_coefficient_k1():
     s0 = KinState3D(t=0.0, x=[0.5, 0, 0], v=[0, 0.3, 0], a=[0.1, 0, 0], j=[0, 0, 0])
     pot = Potential3D.harmonic(1.0)
     traj = integrate_nr(s0, params, pot, 2.0, 1e-3, stride=10)
-    assert not np.array_equal(traj.xs, integrate_nr(s0, PARAMS, pot, 2.0, 1e-3, stride=10).xs)
-    assert np.abs(traj.e_total - traj.e_total[0]).max() <= 1e-10 * abs(traj.e_total[0])
+    assert not np.array_equal(traj["x"], integrate_nr(s0, PARAMS, pot, 2.0, 1e-3, stride=10)["x"])
+    assert np.abs(traj["E_total"] - traj["E_total"][0]).max() <= 1e-10 * abs(traj["E_total"][0])
     # the zbw kinetic term carries -k1 = 5
-    a, j, v = traj.accs[-1], traj.jerks[-1], traj.vs[-1]
-    assert traj.e_zbw[-1] == pytest.approx(-5.0 * (0.5 * (a @ a) - j @ v), rel=1e-12)
+    a, j, v = traj["a"][-1], traj["j"][-1], traj["v"][-1]
+    assert traj["T_zbw"][-1] == pytest.approx(-5.0 * (0.5 * (a @ a) - j @ v), rel=1e-12)
 
 
 def test_nr_momentum_examples():
@@ -192,26 +192,26 @@ def test_integrate_nr_free_circle_periodicity():
     # oracle: the closed-form circle evaluated at the actual sample times
     t = traj.times
     v_exact = np.stack([0.1 * np.cos(2 * t), 0.1 * np.sin(2 * t), np.zeros_like(t)], 1)
-    assert np.abs(traj.vs - v_exact).max() <= 1e-6
+    assert np.abs(traj["v"] - v_exact).max() <= 1e-6
     # period-pi return, up to the documented grid offset of the final sample
     offset = abs(t[-1] - math.pi)
     assert offset <= 1e-4
-    assert np.abs(traj.vs[-1] - s0.v).max() <= 0.2 * offset + 1e-6
+    assert np.abs(traj["v"][-1] - s0.v).max() <= 0.2 * offset + 1e-6
 
 
 def test_integrate_nr_newtonian_start_stays_straight():
     s0 = KinState3D(t=0, x=[0, 0, 0], v=[0.2, 0.1, 0], a=[0, 0, 0], j=[0, 0, 0])
     traj = integrate_nr(s0, PARAMS, Potential3D.zero(), 2.0, 1e-3)
-    assert np.abs(traj.accs).max() == 0.0
+    assert np.abs(traj["a"]).max() == 0.0
     x_expected = s0.x + np.outer(traj.times, s0.v)
-    assert np.abs(traj.xs - x_expected).max() <= 1e-12
+    assert np.abs(traj["x"] - x_expected).max() <= 1e-12
 
 
 def test_integrate_nr_harmonic_energy_is_the_oracle():
     s0 = KinState3D(t=0, x=[1, 0, 0], v=[0, 0, 0], a=[0, 0, 0], j=[0, 0, 0])
     pot = Potential3D.harmonic(1.0)
     traj = integrate_nr(s0, PARAMS, pot, 5.0, 1e-3)
-    e = traj.e_total
+    e = traj["E_total"]
     assert np.abs(e - e[0]).max() <= 1e-8 * abs(e[0])
 
 
@@ -229,7 +229,7 @@ def test_work_integral_constant_force():
     # moves it d = 0.5 and the work is exactly F*d.
     pot = Potential3D.uniform_force([1.0, 0.0, 0.0])
     traj = integrate_newtonian([0, 0, 0], [0, 0, 0], PARAMS, pot, 1.0, 1e-3)
-    assert traj.xs[-1, 0] == pytest.approx(0.5, abs=1e-12)
+    assert traj["x"][-1, 0] == pytest.approx(0.5, abs=1e-12)
     assert work_integral(traj, pot) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -238,7 +238,7 @@ def test_work_integral_free_run_is_zero():
     pot = Potential3D.zero()
     traj = integrate_nr(s0, PARAMS, pot, 1.0, 1e-3)
     assert work_integral(traj, pot) == pytest.approx(0.0, abs=1e-12)
-    assert np.abs(traj.e_kinetic - traj.e_kinetic[0]).max() <= 1e-12
+    assert np.abs(traj["T"] - traj["T"][0]).max() <= 1e-12
 
 
 def test_work_energy_theorem_harmonic_sweep():
@@ -246,7 +246,7 @@ def test_work_energy_theorem_harmonic_sweep():
     pot = Potential3D.harmonic(1.0)
     traj = integrate_nr(s0, PARAMS, pot, 5.0, 1e-4)
     work = work_integral(traj, pot)
-    dkin = traj.e_kinetic[-1] - traj.e_kinetic[0]
+    dkin = traj["T"][-1] - traj["T"][0]
     assert abs(work - dkin) <= 1e-6
 
 
@@ -261,9 +261,9 @@ def test_pointwise_kinetic_rate_identity():
     def d5(f):
         return (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
 
-    addot = d5(traj.jerks)  # second derivative of the acceleration
-    g = 0.5 * (traj.accs**2).sum(1) - (traj.jerks * traj.vs).sum(1)
-    resid = (addot * traj.vs[2:-2]).sum(1) + d5(g)
+    addot = d5(traj["j"])  # second derivative of the acceleration
+    g = 0.5 * (traj["a"]**2).sum(1) - (traj["j"] * traj["v"]).sum(1)
+    resid = (addot * traj["v"][2:-2]).sum(1) + d5(g)
     assert np.abs(resid).max() <= 1e-6
 
 
@@ -272,9 +272,9 @@ def test_momentum_law_along_trajectory():
     pot = Potential3D.harmonic(0.3)
     traj = integrate_nr(s0, PARAMS, pot, 2.0, 1e-4, stride=10)
     h = traj.times[1] - traj.times[0]
-    p = PARAMS.m * traj.vs + zbw_coefficient(PARAMS) * traj.jerks
+    p = PARAMS.m * traj["v"] + zbw_coefficient(PARAMS) * traj["j"]
     dp = (p[:-4] - 8 * p[1:-3] + 8 * p[3:-1] - p[4:]) / (12 * h)
-    force = -pot.gradient(traj.xs[2:-2])
+    force = -pot.gradient(traj["x"][2:-2])
     assert np.abs(dp - force).max() <= 1e-6
 
 
@@ -291,7 +291,7 @@ def test_newtonian_regression_order():
         s0 = KinState3D(t=0, x=x0, v=v0, a=[0, 0, 0], j=[0, 0, 0])
         traj = integrate_nr(s0, params, pot, 2.0, 1e-3)
         lams.append(zbw_coefficient(params))
-        dev = traj.xs - newton.xs
+        dev = traj["x"] - newton["x"]
         devs.append(float(np.sqrt((dev**2).sum(1).mean())))
     slope = np.polyfit(np.log(lams), np.log(devs), 1)[0]
     assert slope >= 1.0
@@ -303,7 +303,7 @@ def test_barrier_report_newtonian_always_empty():
     v0 = math.sqrt(2 * 0.009)  # energy below the barrier top
     traj = integrate_newtonian([-3, 0, 0], [v0, 0, 0], PARAMS, pot, 35.0, 5e-3)
     assert barrier_report(traj, pot) == []
-    assert traj.xs[-1, 0] < 0  # it turned around
+    assert traj["x"][-1, 0] < 0  # it turned around
 
 
 def test_barrier_report_free_circle_spans_run():
@@ -330,9 +330,9 @@ def test_barrier_crossing_phase_scan():
             a=[-0.3 * math.sin(phase), 0.0, 0.0],
             j=[-0.6 * math.cos(phase), 0.0, 0.0])
         traj = integrate_nr(s0, PARAMS, pot, 35.0, 5e-3)
-        assert traj.e_total[0] < 0.015  # classically forbidden at the top
+        assert traj["E_total"][0] < 0.015  # classically forbidden at the top
         intervals = barrier_report(traj, pot)
-        if intervals and traj.xs[-1, 0] > 1.5:
+        if intervals and traj["x"][-1, 0] > 1.5:
             crossings += 1
     assert crossings >= 1
 
@@ -343,7 +343,7 @@ def test_barrier_report_requires_positive_speed():
     s0 = KinState3D(t=0, x=[0, 0, 0], v=[0, 0, 0], a=[0.2, 0, 0], j=[0, 0, 0])
     traj = integrate_nr(s0, PARAMS, pot, 0.01, 1e-3)
     # kinetic term is negative (E < U = 0) yet v^2 is zero at the start
-    assert traj.e_total[0] < 0
+    assert traj["E_total"][0] < 0
 
 
 def test_kinstate_validation():
