@@ -253,8 +253,10 @@ def _validate_scenario(scn: dict):
         for name, rule in spec.get("properties", {}).items():
             if rule.get("type") == "integer" and name in scn.get(section, {}):
                 scn[section][name] = int(scn[section][name])
-    if scn["kind"] not in ("verify",) and "integrator" not in scn:
-        raise ValidationFailure(f"scenario kind {scn['kind']!r} requires an 'integrator' section")
+    missing = [name for name in ("model", "integrator") if name not in scn]
+    if scn["kind"] not in ("verify",) and missing:
+        raise ValidationFailure(f"scenario kind {scn['kind']!r} requires the {missing[0]!r} "
+                                "section")
     potential = scn.get("initial", {}).get("potential")
     needs = _POTENTIALS[scn["kind"]][potential["type"]][1] if potential else ()
     for name in needs:

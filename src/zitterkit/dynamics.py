@@ -110,7 +110,7 @@ def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
         last_state=np.stack(last_state, -1))
 
 
-def _kernel_source(text, store=None) -> str:
+def _kernel_source(text, stacked=False) -> str:
     """The source of the step loop of :func:`rk4_path` written out for the
     float form of ``text`` (see :attr:`FloatForm.text`).
 
@@ -119,17 +119,14 @@ def _kernel_source(text, store=None) -> str:
     float for a 1-D state, the column of every member for a stacked one.
     Each of the four stages assigns the stage time and values to the form's
     names, runs its lines and assigns its result to the stage's rates; the
-    kernel's own names start with ``_``.  The sources differ only in the
-    line that stores a sample, chosen by ``store``:
+    kernel's own names start with ``_``.  The two sources differ only in the
+    line that stores a sample:
 
-    - None: the n floats are packed as native doubles straight into
+    - floats: the n floats are packed as native doubles straight into
       ``samples``, the bytes of the C-ordered float64 samples (``_pack``, a
       ``struct.Struct.pack_into``), which stores the same bits as
       ``samples[j] = ...`` at a third of its cost;
-    - ``"stacked"``: the columns are stacked into ``samples[j]``;
-    - ``(width, columns)``: component c goes to index ``j * width +
-      columns[c]`` of ``samples``, a flat float64 memoryview of the samples
-      of a ``width``-component state of which this form runs a part.
+    - ``stacked``: the columns are stacked into ``samples[j]``.
     """
     args, time, lines, result, constants = text
     check_names(text)
@@ -143,14 +140,8 @@ def _kernel_source(text, store=None) -> str:
                 + list(lines) + assignments(each(f"_k{k}_{{c}}"), result))
 
     ys = ", ".join(each("_y{c}"))
-    if store is None:
-        store = f"_pack(_samples, _j * {8 * n}, {ys})"
-    elif store == "stacked":
-        store = f"_samples[_j] = _stack(({ys},), -1)"
-    else:
-        width, columns = store
-        store = "; ".join(f"_samples[_j * {width} + {col}] = _y{c}"
-                          for c, col in enumerate(columns))
+    store = (f"_samples[_j] = _stack(({ys},), -1)" if stacked
+             else f"_pack(_samples, _j * {8 * n}, {ys})")
     step = "\n        ".join(
         stage(1, "_t", "_y{c}")
         + stage(2, "_t + _half", "_y{c} + _half * _k1_{c}")
@@ -182,16 +173,26 @@ def run({params}):
 
 
 @functools.cache
-def _straight_line_rk4(text, store=None):
-    """The compiled :func:`_kernel_source` of ``text`` and ``store``:
-    compiled on first use and kept for each text and store, whatever the
+def _straight_line_rk4(text, stacked=False):
+    """The compiled :func:`_kernel_source` of ``text`` and ``stacked``:
+    compiled on first use and kept for each text and binding, whatever the
     values of its constants."""
     n = len(text[0])
-    return define("run", _kernel_source(text, store), f"<rk4 straight line n={n}>",
-                  _isfinite=(lambda z: np.isfinite(z).all()) if store == "stacked"
-                  else math.isfinite,
+    return define("run", _kernel_source(text, stacked), f"<rk4 straight line n={n}>",
+                  _isfinite=(lambda z: np.isfinite(z).all()) if stacked else math.isfinite,
                   _diverged=_diverged, _pack=struct.Struct(f"={n}d").pack_into,
                   _stack=np.stack)
+
+
+def _float_rk4(form: FloatForm, y, t0, dt, n_steps, stride, rows) -> np.ndarray:
+    """The ``rows`` samples of :func:`rk4_path` for the 1-D state ``y``, run
+    in this process by the float kernel of ``form``."""
+    samples = np.empty((rows, len(y)))
+    samples[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        _straight_line_rk4(form.text)(y.tolist(), t0, dt, n_steps, stride,
+                                      memoryview(samples).cast("B"), *form.constants.values())
+    return samples
 
 
 # the fewest component-steps (n_steps times the state's width) worth
@@ -214,38 +215,30 @@ def _bins(groups, count: int) -> list:
 
 def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
     """The samples of :func:`rk4_path` for the 1-D state ``y``, one process
-    per bin of columns: this one runs the first, a forked child each other,
-    each the kernel of its restricted form storing into one anonymous
-    shared mapping.  Returns None, with the mapping closed and no child
-    left, if a bin raised or a child failed."""
-    import mmap
+    per bin of columns: each bin is the :func:`_float_rk4` run of its
+    restricted form, the first in this process and each other in a forked
+    child, which writes its samples to its part for this process to put in
+    their columns.  Returns None, with no child left, if a bin raised or a
+    child failed."""
+    parts = [form.restricted(columns) for columns in bins]
+    for part in parts:
+        _straight_line_rk4(part.text)  # compiled here, for every child
+    samples = np.empty((rows, len(y)))
 
-    width = len(y)
-    parts = [(form.restricted(columns), columns) for columns in bins]
-    kernels = [_straight_line_rk4(part.text, (width, tuple(columns)))
-               for part, columns in parts]  # compiled here, for every child
-    buffer = mmap.mmap(-1, 8 * width * rows)
-    view = memoryview(buffer).cast("d")
+    def run(k):
+        return _float_rk4(parts[k], y[bins[k]], t0, dt, n_steps, stride, rows)
 
-    def job(k):
-        part, columns = parts[k]
-        kernels[k](y[columns].tolist(), t0, dt, n_steps, stride, view,
-                   *part.constants.values())
+    def put(k, block):
+        samples[:, bins[k]] = block.reshape(rows, len(bins[k]))
 
-    ok = False
     try:
-        view[:width] = memoryview(y)
-        codes = fork_jobs([functools.partial(job, 0)]
-                          + [lambda _, k=k: job(k) for k in range(1, len(bins))],
-                          lambda k, part, code: code)
-        ok = not any(codes[1:])
+        codes = fork_jobs([lambda: put(0, run(0))]
+                          + [lambda part, k=k: part.buffer.write(run(k))
+                             for k in range(1, len(bins))],
+                          lambda k, part, code: code or put(k, np.frombuffer(part.buffer.read())))
     except Exception:
-        pass  # the run on one process raises it again
-    finally:
-        view.release()  # so the mapping closes even while a traceback holds a kernel frame
-        if not ok:
-            buffer.close()
-    return np.frombuffer(buffer).reshape(rows, width) if ok else None
+        return None  # the run on one process raises it again
+    return None if any(codes) else samples
 
 
 def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
@@ -271,15 +264,14 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     components (every built-in potential but the gaussian, and free runs)
     runs in parallel when at least two CPUs are usable and ``n_steps`` times
     n reaches SPLIT_WORK: the groups are dealt into one bin per usable CPU,
-    balanced by component count, and each bin runs the kernel of its
+    balanced by component count, and each bin runs as the 1-D state of its
     :meth:`~FloatForm.restricted` form, the first in this process and each
-    other in a forked child pinned to a CPU of its own (see
-    :mod:`zitterkit.forks`).  They store their components straight into
-    their columns of one anonymous shared mapping, which holds the samples.
-    Each component is computed by the same operations as in one process,
-    so the samples are the same bits.  If a bin raises or a child fails,
-    the whole state runs again in this process, which raises the same
-    error as a run on one CPU.
+    other in a forked child pinned to a CPU of its own, which returns its
+    samples through its part (see :mod:`zitterkit.forks`).  Each component
+    is computed by the same operations as in one process, so the samples
+    are the same bits.  If a bin raises or a child fails, the whole state
+    runs again in this process, which raises the same error as a run on
+    one CPU.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)
@@ -290,7 +282,14 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     times = t0 + steps * dt
     form = (rates if isinstance(rates, FloatForm)
             else FloatForm.call(rates, [f"y{c}" for c in range(y.shape[-1])], time="t"))
-    if y.ndim == 1 and n_steps * len(y) >= SPLIT_WORK:
+    if y.ndim > 1:
+        samples = np.empty((len(steps),) + y.shape)
+        samples[0] = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            _straight_line_rk4(form.text, True)(np.moveaxis(y, -1, 0), t0, dt, n_steps, stride,
+                                                samples, *form.constants.values())
+        return times, samples
+    if n_steps * len(y) >= SPLIT_WORK:
         groups = form.groups
         count = min(usable_cpus(), len(groups))
         if count > 1:
@@ -298,15 +297,7 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
                                  len(steps))
             if samples is not None:
                 return times, samples
-    samples = np.empty((len(steps),) + y.shape)
-    samples[0] = y
-    stacked = y.ndim > 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        _straight_line_rk4(form.text, "stacked" if stacked else None)(
-            np.moveaxis(y, -1, 0) if stacked else y.tolist(), t0, dt, n_steps, stride,
-            samples if stacked else memoryview(samples).cast("B"),
-            *form.constants.values())
-    return times, samples
+    return times, _float_rk4(form, y, t0, dt, n_steps, stride, len(steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,8 +408,8 @@ class Trajectory:
     records: dict
 
     def __post_init__(self):
-        self.times.flags.writeable = False
-        self.samples.flags.writeable = False
+        for array in (self.times, self.samples, *self.records.values()):
+            array.flags.writeable = False
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
 

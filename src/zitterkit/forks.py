@@ -4,7 +4,9 @@
 RK4 driver use to run work in parallel.  Each child it forks pins itself to
 one usable CPU other than the one its parent runs on, so that the two do
 not share a CPU while another idles; a pinned child then sees one usable
-CPU, so nothing it runs forks again.
+CPU, so nothing it runs forks again.  Every child returns its result through
+its part, an unnamed temporary file: CSV text, a pickled suite result or the
+bytes of RK4 samples.
 """
 
 from __future__ import annotations

@@ -792,6 +792,21 @@ def test_initial_section_error_names_its_field(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"error: scenario field {message}\n"
 
 
+@pytest.mark.parametrize("section", ["model", "integrator"])
+def test_a_run_without_a_model_or_integrator_exits_2(tmp_path, monkeypatch, capsys, section):
+    _run_must_not_integrate(monkeypatch)
+    scn = {"kind": "nonrel", "model": {"mass": 1.0},
+           "initial": {"x": [0.0, 0.0, 0.0], "v": [0.1, 0.0, 0.0]},
+           "integrator": {"dt": 0.01, "t_end": 0.1}}
+    del scn[section]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: scenario kind 'nonrel' requires the '{section}' section\n"
+
+
 @pytest.mark.parametrize("suite", ["brackets", "dirac"])
 @pytest.mark.parametrize("points", [0, -3])
 def test_verify_with_no_points_exits_2(capsys, suite, points):

@@ -3,6 +3,7 @@ import os
 import pickle
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -1139,6 +1140,19 @@ def test_newton_residual_on_integrated_solution(standard_run):
     assert worst <= 1e-6
 
 
+def test_an_in_place_edit_of_a_record_raises_and_leaves_monitor_unchanged():
+    traj = integrate_hamilton(standard_solution().initial_phase_point(), PARAMS, None,
+                              0.1, 1e-3)
+    before = monitor(traj)
+    h = traj["H"]
+    with pytest.raises(ValueError, match="read-only"):
+        h -= h[0]
+    assert monitor(traj) == before
+    nr = integrate_nr(NR_STARTS[1], PARAMS, Potential3D.harmonic(1.0), 0.1, 1e-3)
+    assert not any(record.flags.writeable
+                   for run in (traj, nr) for record in run.records.values())
+
+
 def test_frequency_measurement_matches_model():
     sol = standard_solution()
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, 2 * math.pi, 1e-3)
@@ -1276,6 +1290,26 @@ def test_a_failing_child_bin_reruns_the_state_in_one_process(monkeypatch):
     _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     assert len(forked) == 1
     _assert_bit_identical(split, one)
+    _assert_no_child_left()
+
+
+def test_a_split_run_overflows_as_quietly_as_one_cpu(monkeypatch, capfd):
+    # exp(-x0 / 0.001) overflows at x0 = -1 in every step; each bin, in
+    # this process or a child, runs under the one-CPU error state
+    rates = _nr_rates(monkeypatch, Potential3D.smoothed_step(0.1, 0.001))
+    y0 = np.zeros(12)
+    y0[0] = -1.0
+    forked, runs = _split_on(monkeypatch, 2), []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(rk4_path(rates, y0, 0.0, 1e-3, 10_000, 100)[1])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capfd.readouterr().err == ""
+    assert len(forked) == 1
+    _assert_bit_identical(runs[1], runs[0])
     _assert_no_child_left()
 
 

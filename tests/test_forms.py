@@ -136,22 +136,16 @@ def test_straight_line_kernel_equals_the_array_loop(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacks_and_floats_run_one_source(case):
-    # the executions (floats, columns, part of a state split across
-    # processes) are bindings of one generated step loop; only the line
-    # that stores a sample is written for each
+    # the executions (floats, columns) are bindings of one generated step
+    # loop; only the line that stores a sample is written for each
     text = CASES[case]().text
-    n = len(text[0])
     floats = dynamics._kernel_source(text).splitlines()
-    columns = dynamics._kernel_source(text, "stacked").splitlines()
-    shared = dynamics._kernel_source(text, (n + 2, tuple(range(2, n + 2)))).splitlines()
-    assert len(floats) == len(columns) == len(shared)
-    differ = [(a.strip(), b.strip(), c.strip())
-              for a, b, c in zip(floats, columns, shared) if not a == b == c]
+    columns = dynamics._kernel_source(text, stacked=True).splitlines()
+    assert len(floats) == len(columns)
+    differ = [(a.strip(), b.strip()) for a, b in zip(floats, columns) if a != b]
     assert len(differ) == 1
     assert differ[0][0].startswith("_pack(_samples, _j * ")
     assert differ[0][1].startswith("_samples[_j] = _stack((_y0, ")
-    assert differ[0][2].startswith(f"_samples[_j * {n + 2} + 2] = _y0; ")
-    assert differ[0][2].endswith(f"_samples[_j * {n + 2} + {n + 1}] = _y{n - 1}")
 
 
 def test_one_kernel_serves_every_strength_and_mass():
