@@ -14,7 +14,6 @@ divergence, 4 output could not be written.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import numbers
@@ -369,19 +368,15 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts:
     this process formats the first straight into ``path`` and a child
     formats each other slice into its own part, which is appended in order.
     Every row is formatted alike in every process, so the bytes do not
-    depend on ``parts``.  Raises OSError naming ``path`` if a child fails;
-    the file is complete when it returns.
+    depend on ``parts``, nor on whether a slice was formatted again here
+    after its child failed.  The file is complete when it returns.
     """
-    import errno
     import shutil
 
     line = ",".join([f"%.{prec}g"] * len(header)) + "\n"
     bounds = [len(rows) * k // parts for k in range(parts + 1)]
 
-    def append(k, part, code):
-        if code:
-            raise OSError(errno.EIO, f"the process formatting rows {bounds[k]}.."
-                          f"{bounds[k + 1] - 1} exited with status {code}", path)
+    def append(k, part):
         fh.flush()
         shutil.copyfileobj(part.buffer, fh.buffer)
 
@@ -633,31 +628,6 @@ def monitor_suite() -> SuiteResult:
     return SuiteResult(name="monitors", ok=ok, lines=lines)
 
 
-def _pickled(run, part):
-    """Pickle into ``part`` what ``run()`` returns, or the exception it
-    raises, for _unpickled to return or raise in another process."""
-    import pickle
-
-    try:
-        outcome = run()
-    except Exception as exc:
-        outcome = exc
-    pickle.dump(outcome, part.buffer)
-
-
-def _unpickled(k: int, part, code: int):
-    """The collect of fork_jobs for a _pickled job: return its value or
-    raise its exception (without the child's traceback) here."""
-    import pickle
-
-    if code:
-        raise RuntimeError(f"the process running a verify suite exited with status {code}")
-    outcome = pickle.load(part.buffer)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def run_verify(suite: str, seed: int, points: int) -> int:
     runs = [run for name, run in (
         ("brackets", lambda: bracket_suite(seed=seed, points=points)),
@@ -667,8 +637,11 @@ def run_verify(suite: str, seed: int, points: int) -> int:
     if len(runs) > 1 and usable_cpus() > 1:
         # the monitor suite, the longest, runs in a child; dirac's LAPACK
         # calls stay in this process
+        import pickle
+
         here, away = fork_jobs([lambda: [run() for run in runs[:-1]],
-                                functools.partial(_pickled, runs[-1])], _unpickled)
+                                lambda part: pickle.dump(runs[-1](), part.buffer)],
+                               lambda k, part: pickle.load(part.buffer))
         results = here + [away]
     else:
         results = [run() for run in runs]

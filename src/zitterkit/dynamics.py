@@ -218,8 +218,9 @@ def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
     per bin of columns: each bin is the :func:`_float_rk4` run of its
     restricted form, the first in this process and each other in a forked
     child, which writes its samples to its part for this process to put in
-    their columns.  Returns None, with no child left, if a bin raised or a
-    child failed."""
+    their columns; a bin whose child fails runs again here (see
+    :func:`~zitterkit.forks.fork_jobs`).  Returns None, with no child left,
+    if a bin raised."""
     parts = [form.restricted(columns) for columns in bins]
     for part in parts:
         _straight_line_rk4(part.text)  # compiled here, for every child
@@ -232,13 +233,12 @@ def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
         samples[:, bins[k]] = block.reshape(rows, len(bins[k]))
 
     try:
-        codes = fork_jobs([lambda: put(0, run(0))]
-                          + [lambda part, k=k: part.buffer.write(run(k))
-                             for k in range(1, len(bins))],
-                          lambda k, part, code: code or put(k, np.frombuffer(part.buffer.read())))
+        fork_jobs([lambda: put(0, run(0))]
+                  + [lambda part, k=k: part.buffer.write(run(k)) for k in range(1, len(bins))],
+                  lambda k, part: put(k, np.frombuffer(part.buffer.read())))
     except Exception:
         return None  # the run on one process raises it again
-    return None if any(codes) else samples
+    return samples
 
 
 def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
@@ -269,9 +269,9 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     other in a forked child pinned to a CPU of its own, which returns its
     samples through its part (see :mod:`zitterkit.forks`).  Each component
     is computed by the same operations as in one process, so the samples
-    are the same bits.  If a bin raises or a child fails, the whole state
-    runs again in this process, which raises the same error as a run on
-    one CPU.
+    are the same bits.  A bin whose child fails runs again in this
+    process; if a bin raises, the whole state runs again in this process,
+    which raises the same error as a run on one CPU.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)

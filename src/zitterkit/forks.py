@@ -6,7 +6,7 @@ one usable CPU other than the one its parent runs on, so that the two do
 not share a CPU while another idles; a pinned child then sees one usable
 CPU, so nothing it runs forks again.  Every child returns its result through
 its part, an unnamed temporary file: CSV text, a pickled suite result or the
-bytes of RK4 samples.
+bytes of RK4 samples.  A job whose child fails runs again in the parent.
 """
 
 from __future__ import annotations
@@ -49,21 +49,28 @@ def fork_jobs(jobs: list, collect) -> list:
     ``os.sched_setaffinity`` raises OSError, it runs unpinned.  A child
     leaves through ``os._exit``: 0 once its job has returned and ``part``
     is flushed, 1 if the job raised.  Then the children are reaped in
-    order, calling ``collect(k, part, exit_code)`` with ``part`` rewound.
-    Returns what ``jobs[0]`` and each ``collect`` returned.  No child
-    outlives the call and every part is closed, whether it returns or raises.
+    order, calling ``collect(k, part)`` with ``part`` rewound.  A job whose
+    child exits non-zero, or whose ``os.fork`` raises OSError, first runs
+    again here on its emptied part, so every result and every error is
+    that of a run in one process.  A later job may write only to its part,
+    which makes that second run safe.  Returns what ``jobs[0]`` and each
+    ``collect`` returned.  No child outlives the call and every part is
+    closed, whether it returns or raises.
     """
     import signal
     import tempfile
 
     parent = os.getpid()
     cpus = _child_cpus() if len(jobs) > 1 else []
-    children = []  # [pid, part] of each later job; pid None once reaped
+    children = []  # [pid, part] of each later job; pid None if reaped or never forked
     try:
         for k, job in enumerate(jobs[1:]):
             part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
             children.append([None, part])
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                continue  # the job runs here once jobs[0] has
             if pid == 0:
                 if cpus:
                     try:
@@ -77,10 +84,15 @@ def fork_jobs(jobs: list, collect) -> list:
         values = [jobs[0]()]
         for k, child in enumerate(children, start=1):
             pid, part = child
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
+            if pid is not None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                child[0] = None
+            if pid is None or code:
+                part.seek(0)
+                part.truncate()
+                jobs[k](part)
             part.seek(0)
-            values.append(collect(k, part, os.waitstatus_to_exitcode(status)))
+            values.append(collect(k, part))
         return values
     finally:
         if os.getpid() != parent:  # a child whose job raised leaves without unwinding

@@ -45,9 +45,13 @@ def _vec3(value, name: str) -> np.ndarray:
 
 def _exp(z):
     """np.exp, which math.exp does not match bit for bit; for a float it
-    returns a float, so the straight-line RK4 kernel stays on floats."""
-    e = np.exp(z)
-    return float(e) if type(z) is float else e
+    returns a float, so the straight-line RK4 kernel stays on floats.  An
+    array's overflow to inf is quiet, as in that kernel's errstate: the
+    step's U and dU/dx take their right limit, 0, from it."""
+    if type(z) is float:
+        return float(np.exp(z))
+    with np.errstate(over="ignore"):
+        return np.exp(z)
 
 
 def zbw_coefficient(params: ModelParams) -> float:

@@ -1005,7 +1005,7 @@ def test_period_mean_of_v0_is_p0_over_m(m, rapidity, theta, phi, cos_amp, sin_am
 
 
 def test_integration_diverged_survives_pickling():
-    # a run that diverges in a forked process reaches the parent pickled
+    # a public exception keeps its fields through pickling
     exc = IntegrationDiverged("step 7 is not finite", last_time=0.5, nonfinite=((1, 2),),
                               last_state=np.arange(4.0))
     copy = pickle.loads(pickle.dumps(exc))
@@ -1241,19 +1241,13 @@ def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where
     _assert_no_child_left()
 
 
-def _shared_mappings() -> int:
-    """How many shared mappings this process has, anonymous ones included."""
-    with open("/proc/self/maps") as fh:
-        return sum(line.split()[1].endswith("s") for line in fh)
-
-
 def _failing_bins(monkeypatch, failing, error):
     """Make every kernel raise ``error`` in the ``failing`` process (parent
     or child), and the child's sleep for a minute otherwise."""
     parent, kernel = os.getpid(), dynamics._straight_line_rk4
 
-    def broken(text, store=None):
-        run = kernel(text, store)
+    def broken(text, stacked=False):
+        run = kernel(text, stacked)
 
         def guarded(*args):
             here = os.getpid() == parent
@@ -1265,19 +1259,17 @@ def _failing_bins(monkeypatch, failing, error):
     monkeypatch.setattr(dynamics, "_straight_line_rk4", broken)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_parent_bin_that_raises_leaves_no_child_and_no_mapping(monkeypatch, error):
+def test_a_parent_bin_that_raises_leaves_no_child_and_no_open_part(monkeypatch, parts, error):
     rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
     forked = _split_on(monkeypatch, 2)
     _failing_bins(monkeypatch, "parent", error)
-    before = _shared_mappings()
     start = time.monotonic()
     with pytest.raises(error, match="bin failed") as raised:
         rk4_path(rates, y0, 0.0, 1e-2, 100)
     assert len(forked) == 1 and time.monotonic() - start < 30
     # closed, not merely unreferenced: the traceback held here keeps every frame
-    assert raised.tb is not None and _shared_mappings() == before
+    assert raised.tb is not None and len(parts) == 1 and parts[0].closed
     _assert_no_child_left()
 
 
@@ -1287,6 +1279,24 @@ def test_a_failing_child_bin_reruns_the_state_in_one_process(monkeypatch):
     _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     forked = _split_on(monkeypatch, 2)
     _failing_bins(monkeypatch, "child", RuntimeError)
+    _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
+    assert len(forked) == 1
+    _assert_bit_identical(split, one)
+    _assert_no_child_left()
+
+
+def test_a_child_bin_that_dies_gives_the_one_cpu_samples(monkeypatch):
+    rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
+    forked = _split_on(monkeypatch, 2)
+    parent, kernel = os.getpid(), dynamics._straight_line_rk4
+
+    def dying(text, stacked=False):
+        run = kernel(text, stacked)
+        return lambda *args: run(*args) if os.getpid() == parent else os._exit(9)
+
+    monkeypatch.setattr(dynamics, "_straight_line_rk4", dying)
     _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     assert len(forked) == 1
     _assert_bit_identical(split, one)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,18 @@ def test_barrier_crossing_phase_scan():
         if intervals and traj["x"][-1, 0] > 1.5:
             crossings += 1
     assert crossings >= 1
+
+
+def test_a_steep_step_overflows_quietly():
+    # exp(-x / 0.001) overflows all along x in [-1, -0.9], where the step's
+    # U and dU/dx are 0: the records and the reports take that without a warning
+    pot = Potential3D.smoothed_step(0.1, 0.001)
+    s0 = KinState3D(t=0, x=[-1, 0, 0], v=[0.1, 0, 0], a=[0, 0, 0], j=[0, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_nr(s0, PARAMS, pot, 1.0, 1e-3, stride=100)
+        assert not traj["U"].any() and work_integral(traj, pot) == 0.0
+        assert barrier_report(traj, pot) == []
 
 
 def test_barrier_report_requires_positive_speed():
