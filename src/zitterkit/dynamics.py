@@ -8,6 +8,7 @@ asserts.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import struct
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .forks import fork_jobs, usable_cpus
-from .forms import FloatForm, assignments, check_names, define
+from .forms import FloatForm, assignments, check_names, define, elements
 from .lagrangian import (ModelParams, PhasePoint, ScalarPotential, canonical_momentum,
                          hamiltonian_rows)
 from .minkowski import METRIC, FourVector, check_on_shell, dot, inner, spin_vector, wedge
@@ -110,7 +111,7 @@ def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:
         last_state=np.stack(last_state, -1))
 
 
-def _kernel_source(text, stacked=False) -> str:
+def _kernel_source(text, stacked=False, held=()) -> str:
     """The source of the step loop of :func:`rk4_path` written out for the
     float form of ``text`` (see :attr:`FloatForm.text`).
 
@@ -119,8 +120,14 @@ def _kernel_source(text, stacked=False) -> str:
     float for a 1-D state, the column of every member for a stacked one.
     Each of the four stages assigns the stage time and values to the form's
     names, runs its lines and assigns its result to the stage's rates; the
-    kernel's own names start with ``_``.  The two sources differ only in the
-    line that stores a sample:
+    kernel's own names start with ``_``.  A stage assigns only the names
+    that the form's lines and result read, and the step time ``_t`` is
+    computed only when the form reads the time (an error builds it from
+    the same expression).  Each component of ``held`` (see :func:`_held`)
+    is assigned to its name once, before the loop, and has no stage value,
+    rate, compensation term, finite check or swap; it is still stored with
+    every sample.  The two bindings differ only in the line that stores a
+    sample:
 
     - floats: the n floats are packed as native doubles straight into
       ``samples``, the bytes of the C-ordered float64 samples (``_pack``, a
@@ -129,69 +136,92 @@ def _kernel_source(text, stacked=False) -> str:
     - ``stacked``: the columns are stacked into ``samples[j]``.
     """
     args, time, lines, result, constants = text
-    check_names(text)
+    used = check_names(text)
     n = len(args)
+    live = [c for c in range(n) if c not in held]
+    clock = time in used
+    now = "_t0 + (_i - 1) * _dt"
 
     def each(template):
-        return [template.format(c=c) for c in range(n)]
+        return [template.format(c=c) for c in live]
 
     def stage(k, when, values):
-        return ([f"{time} = {when}"] + [f"{a} = {v}" for a, v in zip(args, each(values))]
-                + list(lines) + assignments(each(f"_k{k}_{{c}}"), result))
+        # a result with a held component is a tuple display: one line a rate
+        rates = assignments([f"_k{k}_{c}" for c in range(n)], result)
+        return (([f"{time} = {when}"] if clock else [])
+                + [f"{args[c]} = {values.format(c=c)}" for c in live if args[c] in used]
+                + list(lines) + [rate for c, rate in enumerate(rates) if c not in held])
 
-    ys = ", ".join(each("_y{c}"))
+    ys = ", ".join(f"_y{c}" for c in range(n))
     store = (f"_samples[_j] = _stack(({ys},), -1)" if stacked
              else f"_pack(_samples, _j * {8 * n}, {ys})")
-    step = "\n        ".join(
+    before = [f"{ys}, = _y"] + [f"{args[c]} = _y{c}" for c in held if args[c] in used]
+    step = ([f"_t = {now}"] if clock else []) + (
         stage(1, "_t", "_y{c}")
         + stage(2, "_t + _half", "_y{c} + _half * _k1_{c}")
         + stage(3, "_t + _half", "_y{c} + _half * _k2_{c}")
-        + stage(4, "_t + _dt", "_y{c} + _dt * _k3_{c}")
-        + [line.format(c=c) for c in range(n) for line in (
+        + stage(4, "_t + _dt", "_y{c} + _dt * _k3_{c}"))
+    if live:
+        before.append(f"{', '.join(each('_c{c}'))}, = {(0.0,) * len(live)}")
+        after = ", ".join(f"_y{c}" if c in held else f"_n{c}" for c in range(n))
+        step += [line.format(c=c) for c in live for line in (
             "_e{c} = _sixth * ((_k1_{c} + 2.0 * (_k2_{c} + _k3_{c})) + _k4_{c}) - _c{c}",
             "_n{c} = _y{c} + _e{c}",
-            "_c{c} = (_n{c} - _y{c}) - _e{c}")])
+            "_c{c} = (_n{c} - _y{c}) - _e{c}")] + [
+            # the float form of y . 0: NaN exactly when some component is not finite
+            f"if not _isfinite({' + '.join(each('_n{c} * 0.0'))}):",
+            f"    raise _diverged(_t0 + _i * _dt, {'_t' if clock else now}, ({after},), ({ys},))",
+            "; ".join(each("_y{c} = _n{c}"))]
+    step += ["if _i % _stride == 0 or _i == _n_steps:", f"    {store}", "    _j += 1"]
     params = ", ".join(("_y", "_t0", "_dt", "_n_steps", "_stride", "_samples")
                        + constants + ("_isfinite=_isfinite",))
+    before, step = "\n    ".join(before), "\n        ".join(step)
     return f"""
 def run({params}):
-    {ys}, = _y
-    {", ".join(each('_c{c}'))}, = {(0.0,) * n}
+    {before}
     _half, _sixth = 0.5 * _dt, _dt / 6.0
     _j = 1
     for _i in range(1, _n_steps + 1):
-        _t = _t0 + (_i - 1) * _dt
         {step}
-        # the float form of y . 0: NaN exactly when some component is not finite
-        if not _isfinite({" + ".join(each('_n{c} * 0.0'))}):
-            raise _diverged(_t0 + _i * _dt, _t, ({", ".join(each('_n{c}'))},), ({ys},))
-        {"; ".join(each('_y{c} = _n{c}'))}
-        if _i % _stride == 0 or _i == _n_steps:
-            {store}
-            _j += 1
 """
 
 
 @functools.cache
-def _straight_line_rk4(text, stacked=False):
-    """The compiled :func:`_kernel_source` of ``text`` and ``stacked``:
-    compiled on first use and kept for each text and binding, whatever the
-    values of its constants."""
+def _straight_line_rk4(text, stacked=False, held=()):
+    """The compiled :func:`_kernel_source` of ``text``, ``stacked`` and
+    ``held``: compiled on first use and kept for each text, binding and
+    held set, whatever the values of its constants."""
     n = len(text[0])
-    return define("run", _kernel_source(text, stacked), f"<rk4 straight line n={n}>",
+    return define("run", _kernel_source(text, stacked, held), f"<rk4 straight line n={n}>",
                   _isfinite=(lambda z: np.isfinite(z).all()) if stacked else math.isfinite,
                   _diverged=_diverged, _pack=struct.Struct(f"={n}d").pack_into,
                   _stack=np.stack)
 
 
+def _held(text, y) -> tuple:
+    """The components that the float kernel of ``text`` holds fixed from
+    the 1-D start ``y``, a list of floats: each whose result element is the
+    float literal ``0.0`` and whose start is finite and keeps its bits
+    under ``+ 0.0`` (so is not -0.0).  Every stage value y + h * 0.0 of
+    such a component is then y, and its compensated update leaves y and a
+    zero compensation term as they are, so holding it changes no bit."""
+    return tuple(c for c, node in enumerate(elements(text[3], len(text[0])) or ())
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                 and node.value == 0.0 and math.isfinite(y[c])
+                 and (y[c] + 0.0).hex() == y[c].hex())
+
+
 def _float_rk4(form: FloatForm, y, t0, dt, n_steps, stride, rows) -> np.ndarray:
     """The ``rows`` samples of :func:`rk4_path` for the 1-D state ``y``, run
-    in this process by the float kernel of ``form``."""
+    in this process by the float kernel of ``form`` that holds the
+    :func:`_held` components of ``y``."""
     samples = np.empty((rows, len(y)))
     samples[0] = y
+    start = y.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        _straight_line_rk4(form.text)(y.tolist(), t0, dt, n_steps, stride,
-                                      memoryview(samples).cast("B"), *form.constants.values())
+        _straight_line_rk4(form.text, False, _held(form.text, start))(
+            start, t0, dt, n_steps, stride, memoryview(samples).cast("B"),
+            *form.constants.values())
     return samples
 
 
@@ -222,8 +252,8 @@ def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
     :func:`~zitterkit.forks.fork_jobs`).  Returns None, with no child left,
     if a bin raised."""
     parts = [form.restricted(columns) for columns in bins]
-    for part in parts:
-        _straight_line_rk4(part.text)  # compiled here, for every child
+    for part, columns in zip(parts, bins):  # compiled here, for every child
+        _straight_line_rk4(part.text, False, _held(part.text, y[columns].tolist()))
     samples = np.empty((rows, len(y)))
 
     def run(k):
@@ -254,11 +284,14 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     the same bits on floats and on arrays, since CPython floats and numpy's
     elementwise loops both round IEEE doubles with no fused multiply-add.
     Each member of a stack then gets the same times and samples as its own
-    run.  Returns ``(times, samples)`` where samples are recorded every
-    ``stride`` steps plus the final step.  The state update uses
-    compensated summation so that long runs stay truncation-limited rather
-    than roundoff-limited.  Raises :class:`IntegrationDiverged` if the
-    state stops being finite.
+    run.  The loop assigns only the names the form reads, and a 1-D run
+    holds fixed each component whose rate is the literal ``0.0`` and whose
+    start is finite and not -0.0 (see :func:`_held`), such as p in a free
+    canonical run; both give the same bits as the full loop.  Returns
+    ``(times, samples)`` where samples are recorded every ``stride`` steps
+    plus the final step.  The state update uses compensated summation so
+    that long runs stay truncation-limited rather than roundoff-limited.
+    Raises :class:`IntegrationDiverged` if the state stops being finite.
 
     A 1-D state whose form has two or more :attr:`~FloatForm.groups` of
     components (every built-in potential but the gaussian, and free runs)
@@ -267,7 +300,8 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     balanced by component count, and each bin runs as the 1-D state of its
     :meth:`~FloatForm.restricted` form, the first in this process and each
     other in a forked child pinned to a CPU of its own, which returns its
-    samples through its part (see :mod:`zitterkit.forks`).  Each component
+    samples through its part (see :mod:`zitterkit.forks`).  Each bin holds
+    fixed the :func:`_held` components of its own start, and each component
     is computed by the same operations as in one process, so the samples
     are the same bits.  A bin whose child fails runs again in this
     process; if a bin raises, the whole state runs again in this process,

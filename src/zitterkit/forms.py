@@ -24,10 +24,11 @@ def define(name: str, source: str, filename: str, **namespace):
     return namespace[name]
 
 
-def check_names(text):
+def check_names(text) -> set:
     """Raise ValueError unless the form ``text`` leaves the ``_`` names to
     the code it is spliced into, names each argument, the time and each
-    constant once, and assigns to none of them."""
+    constant once, and assigns to none of them; returns every name that its
+    lines and result use."""
     args, time, lines, result, constants = text
     tree = ast.parse("\n".join(lines + (result,)))
     names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
@@ -43,6 +44,17 @@ def check_names(text):
     if assigned:
         raise ValueError(f"a float form may not assign to its arguments or constants: "
                          f"{assigned}")
+    return {n.id for n in names}
+
+
+def elements(expression: str, count: int):
+    """The element nodes of ``expression`` when it is a tuple display of
+    ``count`` elements, none of them starred; else None."""
+    node = ast.parse(expression, mode="eval").body
+    if (isinstance(node, ast.Tuple) and len(node.elts) == count
+            and not any(isinstance(e, ast.Starred) for e in node.elts)):
+        return node.elts
+    return None
 
 
 def assignments(targets, expression: str) -> list:
@@ -51,11 +63,10 @@ def assignments(targets, expression: str) -> list:
     reads none of them, which saves building and unpacking the tuple."""
     node = ast.parse(expression, mode="eval").body
     read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-    if (isinstance(node, ast.Tuple) and len(node.elts) == len(targets)
-            and not read & set(targets)
-            and not any(isinstance(e, ast.Starred) for e in node.elts)):
+    nodes = elements(expression, len(targets))
+    if nodes is not None and not read & set(targets):
         return [f"{t} = {ast.get_source_segment(expression, e)}"
-                for t, e in zip(targets, node.elts)]
+                for t, e in zip(targets, nodes)]
     return [f"{', '.join(targets)}, = {expression}"]
 
 
@@ -75,9 +86,8 @@ def _partition(text):
     """
     args, _, lines, result, _ = text
     statements = [ast.parse(line).body for line in lines]
-    node = ast.parse(result, mode="eval").body
-    if not (isinstance(node, ast.Tuple) and len(node.elts) == len(args)
-            and not any(isinstance(e, ast.Starred) for e in node.elts)):
+    nodes = elements(result, len(args))
+    if nodes is None:
         return None
     # an assignment inside an expression would hide what its name reads
     if any(isinstance(n, ast.NamedExpr) for n in ast.walk(ast.parse("\n".join(lines)))):
@@ -109,14 +119,14 @@ def _partition(text):
 
     for names, body in zip(targets, statements):
         join(names, body[0].value)
-    for arg, element in zip(args, node.elts):
+    for arg, element in zip(args, nodes):
         join([arg], element)
     groups = {}
     for c, arg in enumerate(args):
         groups.setdefault(find(arg), []).append(c)
     return (tuple(map(tuple, groups.values())),
             [find(names[0]) for names in targets] + [find(arg) for arg in args],
-            [ast.get_source_segment(result, e) for e in node.elts])
+            [ast.get_source_segment(result, e) for e in nodes])
 
 
 @functools.cache

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zitterkit import dynamics
+from zitterkit import cli, dynamics
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
     IntegrationDiverged,
@@ -25,6 +25,7 @@ from zitterkit.dynamics import (
     monitor,
     rk4_path,
 )
+from zitterkit.forms import FloatForm
 from zitterkit.lagrangian import (
     ModelParams,
     PhasePoint,
@@ -33,7 +34,14 @@ from zitterkit.lagrangian import (
     characteristic_frequencies,
     hamiltonian,
 )
-from zitterkit.minkowski import METRIC, FourVector, dot
+from zitterkit.minkowski import (
+    METRIC,
+    AntisymTensor4,
+    FourVector,
+    dot,
+    pauli_lubanski,
+    wedge,
+)
 from zitterkit.nonrel import (
     KinState3D,
     Potential3D,
@@ -361,7 +369,8 @@ def _straight_line_divergence(rates, y0, dt=10.0, n_steps=100, stride=1):
     assert got.last_time == ref.last_time
     assert {index[0] for index in ref.nonfinite} == {0}
     assert got.nonfinite == tuple(index[1:] for index in ref.nonfinite)
-    _assert_bit_identical(got.last_state, ref.last_state[0])
+    # compared as bytes, so that a NaN start compares too
+    assert got.last_state.tobytes() == ref.last_state[0].tobytes()
     return got
 
 
@@ -784,6 +793,107 @@ def test_general_n_divergence_equals_the_array_loop(monkeypatch, n):
     assert got.nonfinite
 
 
+@pytest.mark.parametrize("value, held", [
+    (0.0, (4, 5, 6, 7)), (0.7, (4, 5, 6, 7)), (-0.0, (4,)), (math.inf, (4,)), (math.nan, (4,))])
+def test_a_held_free_run_gives_the_bits_of_the_stacked_binding(monkeypatch, value, held):
+    # p0 = 1 and p1..p3 = value; a p component is held when it is finite
+    # and keeps its bits under + 0.0, and the stacked binding holds none
+    rates = _hamilton_rates(monkeypatch, None)
+    y0 = standard_solution().initial_phase_point().as_array()
+    y0[5:8] = value
+    assert dynamics._held(rates.text, y0.tolist()) == held
+    if math.isfinite(value):
+        _, one = rk4_path(rates, y0, 0.25, 1e-3, 50, 3)
+        _, stack = rk4_path(rates, y0[None], 0.25, 1e-3, 50, 3)
+        _assert_bit_identical(one, stack[:, 0])
+        assert _straight_line_divergence(rates, y0).last_time > 0.0
+    else:
+        assert {(5,), (6,), (7,)} <= set(_straight_line_divergence(rates, y0, 1e-3).nonfinite)
+
+
+@pytest.mark.parametrize("y0, held", [([1.0, 2.0], (0, 1)), ([-0.0, 2.0], (1,))])
+def test_a_form_of_zero_rates_holds_each_component_it_can(y0, held):
+    form = FloatForm(("a", "b"), "0.0, 0.0", time="t")
+    y0 = np.array(y0)
+    assert dynamics._held(form.text, y0.tolist()) == held
+    _, one = rk4_path(form, y0, 0.0, 0.1, 10, 3)
+    _assert_bit_identical(one, rk4_path(form, y0[None], 0.0, 0.1, 10, 3)[1][:, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["none", "linear"]),
+       p=st.lists(st.sampled_from([0.0, -0.0, 1.3, -2.5e-3, 1e308, math.inf, math.nan]),
+                  min_size=4, max_size=4),
+       rest=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12))
+def test_a_free_or_linear_run_gives_the_bits_of_the_stacked_binding(name, p, rest):
+    # every sample, or every field of the divergence, of the float kernel
+    # that holds the zero-rate components equals that of the stacked one
+    with pytest.MonkeyPatch.context() as mp:
+        rates = _hamilton_rates(mp, HAMILTON_POTENTIALS[name])
+    y0 = np.array(rest[:4] + p + rest[4:])
+    try:
+        _, one = rk4_path(rates, y0, 0.25, 1e-2, 30, 7)
+    except IntegrationDiverged:
+        _straight_line_divergence(rates, y0, 1e-2, 30, 7)
+    else:
+        _assert_bit_identical(one, rk4_path(rates, y0[None], 0.25, 1e-2, 30, 7)[1][:, 0])
+
+
+P_HELD, X_DEAD = ("p0", "p1", "p2", "p3"), ("x0", "x1", "x2", "x3")
+SHIPPED_KERNELS = {  # name: (held, unread positions); no shipped form reads its time
+    "free_cmf": (P_HELD, X_DEAD), "free_boosted": (P_HELD, X_DEAD),
+    "superluminal": (P_HELD, X_DEAD), "general_n2": ((), X_DEAD),
+    "nonrel_circle": ((), X_DEAD[:3]), "nonrel_gaussian_barrier": ((), ()),
+    "nonrel_harmonic": ((), ())}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_KERNELS))
+def test_the_kernel_of_a_shipped_start_holds_its_zero_rate_components(monkeypatch, name):
+    # and assigns no stage value or time that the form does not read
+    held, unread = SHIPPED_KERNELS[name]
+    runs = []
+
+    def spy(rates, y0, *args):
+        runs.append((rates, np.array(y0, dtype=float)))
+        raise KeyboardInterrupt
+
+    for target in ("zitterkit.dynamics.rk4_path", "zitterkit.nonrel.rk4_path"):
+        monkeypatch.setattr(target, spy)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run_scenario(cli.load_scenario(
+            os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json")))
+    (rates, y0), = runs
+    columns = dynamics._held(rates.text, y0.tolist())
+    assert tuple(rates.args[c] for c in columns) == held
+    source = _kernel_source(rates.text, held=columns)
+    stores = [line.split(" = ")[0].strip() for line in source.splitlines() if " = " in line]
+    assert [arg for arg in stores if arg in held] == list(held)  # once, before the loop
+    assert set(stores).isdisjoint((rates.time, "_t") + unread)
+    assert all(f"_k1_{c} " not in source for c in columns)
+
+
+def test_a_form_that_reads_the_time_gets_every_stage_time():
+    seen = []
+
+    def rates(t, y):
+        seen.append(t)
+        return (-y,)
+
+    t0, dt = 0.25, 0.1
+    half = 0.5 * dt
+    rk4_path(rates, [1.0], t0, dt, 3)
+    stages = [[t, t + half, t + half, t + dt] for t in (t0 + i * dt for i in range(3))]
+    assert seen == [t for step in stages for t in step]
+    assert [t.hex() for t in seen] == [t.hex() for step in stages for t in step]
+
+
+@pytest.mark.parametrize("y0", [np.array([1.0, -0.5]), np.array([[1.0, -0.5], [0.0, 2.0]])])
+def test_a_form_without_a_time_name_runs_as_one_that_ignores_the_time(y0):
+    _, got = rk4_path(FloatForm(("a", "b"), "-b, a"), y0, 0.0, 0.1, 20, 3)
+    _, ref = rk4_path(FloatForm(("a", "b"), "-b, a", time="t"), y0, 0.0, 0.1, 20, 3)
+    _assert_bit_identical(got, ref)
+
+
 def test_forced_run_conserves_energy():
     # weak spatial harmonic potential: H including U must stay constant
     sol = standard_solution()
@@ -951,17 +1061,19 @@ def test_boosting_commutes_with_integrating(rapidity, theta, phi):
                 <= 4e-15 * math.cosh(rapidity) ** 2)
 
 
-def boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, periods, steps_per_period):
-    """A free run of whole periods of the solution of mass m whose momentum
-    and amplitudes are ``lorentz_boost``ed from the rest frame, where the
-    amplitudes are the spatial vectors ``cos_amp`` and ``sin_amp``."""
+def boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, periods, steps_per_period,
+                     potential=None):
+    """A run of whole periods from the start of the free solution of mass m
+    whose momentum and amplitudes are ``lorentz_boost``ed from the rest
+    frame, where the amplitudes are the spatial vectors ``cos_amp`` and
+    ``sin_amp``; free unless a ``potential`` is given."""
     params = ModelParams(m=m)
     lam = lorentz_boost(rapidity, theta, phi)
     p, ca, sa = (FourVector.from_array(lam @ [t, *s])
                  for t, s in ((m, (0.0, 0.0, 0.0)), (0.0, cos_amp), (0.0, sin_amp)))
     sol = make_free_solution(params, p, ca, sa)
     period = 2.0 * math.pi / sol.omega
-    traj = integrate_hamilton(sol.initial_phase_point(), params, None, periods * period,
+    traj = integrate_hamilton(sol.initial_phase_point(), params, potential, periods * period,
                               period / steps_per_period)
     assert len(traj) == periods * steps_per_period + 1
     return sol, traj
@@ -1002,6 +1114,22 @@ def test_period_mean_of_v0_is_p0_over_m(m, rapidity, theta, phi, cos_amp, sin_am
     drift = sol.p[0] / m
     mean = float(traj["v"][:-1, 0].mean())
     assert abs(mean - drift) <= 5e-9 * drift
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["none", "linear", "harmonic"]), **BOOSTED_FREE_RUNS)
+def test_the_pauli_lubanski_vector_stays_orthogonal_to_p(name, m, rapidity, theta, phi,
+                                                         cos_amp, sin_amp):
+    # W = (1/2m) eps S p with the spin tensor S = v ^ pi, sample by sample,
+    # also where a force turns p.  Only roundoff is left: over 1000 draws a
+    # potential (a tenth at the corners of the ranges; 2 periods of 128
+    # steps) |<W, p>| reached 7.1e-17 of |S| |p|^2 / m (Frobenius and
+    # Euclidean norms)
+    _, traj = boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, 2, 128,
+                               HAMILTON_POTENTIALS[name])
+    for p, s in zip(traj["p"], wedge(traj["v"], traj["r"])):
+        w = pauli_lubanski(AntisymTensor4.from_matrix(s), FourVector.from_array(p), m)
+        assert abs(dot(w, FourVector.from_array(p))) <= 2.5e-16 * np.linalg.norm(s) * (p @ p) / m
 
 
 def test_integration_diverged_survives_pickling():
@@ -1246,8 +1374,8 @@ def _failing_bins(monkeypatch, failing, error):
     or child), and the child's sleep for a minute otherwise."""
     parent, kernel = os.getpid(), dynamics._straight_line_rk4
 
-    def broken(text, stacked=False):
-        run = kernel(text, stacked)
+    def broken(text, stacked=False, held=()):
+        run = kernel(text, stacked, held)
 
         def guarded(*args):
             here = os.getpid() == parent
@@ -1273,7 +1401,7 @@ def test_a_parent_bin_that_raises_leaves_no_child_and_no_open_part(monkeypatch, 
     _assert_no_child_left()
 
 
-def test_a_failing_child_bin_reruns_the_state_in_one_process(monkeypatch):
+def test_a_failing_child_bin_runs_that_bin_here(monkeypatch):
     rates, y0 = SPLIT_CASES["hamilton-none"](monkeypatch)
     monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
     _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
@@ -1292,8 +1420,8 @@ def test_a_child_bin_that_dies_gives_the_one_cpu_samples(monkeypatch):
     forked = _split_on(monkeypatch, 2)
     parent, kernel = os.getpid(), dynamics._straight_line_rk4
 
-    def dying(text, stacked=False):
-        run = kernel(text, stacked)
+    def dying(text, stacked=False, held=()):
+        run = kernel(text, stacked, held)
         return lambda *args: run(*args) if os.getpid() == parent else os._exit(9)
 
     monkeypatch.setattr(dynamics, "_straight_line_rk4", dying)
