@@ -446,12 +446,15 @@ def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     lines = [f"free run: m={params.m:g} n={params.n} omega={sol.omega:g} "
              f"dt={dt:g} t_end={t_end:g} samples={len(traj)}"]
     _summarize_hamilton(traj, lines)
-    x_ref, v_ref, _ = sol.sample(traj.times)
+    # block by block, so the reference arrays are bounded by the block
+    deviations = []
+    for rows in dynamics.row_blocks(len(traj)):
+        x_ref, v_ref, _ = sol.sample(traj.times[rows])
+        deviations.append((np.abs(traj["x"][rows] - x_ref).max(),
+                           np.abs(traj["v"][rows] - v_ref).max()))
+    x_dev, v_dev = np.max(deviations, axis=0)
     lines.append("closed-form oracle deviation:")
-    lines.extend(_fmt_items({
-        "max |x - exact|": float(np.abs(traj["x"] - x_ref).max()),
-        "max |v - exact|": float(np.abs(traj["v"] - v_ref).max()),
-    }))
+    lines.extend(_fmt_items({"max |x - exact|": float(x_dev), "max |v - exact|": float(v_dev)}))
     amp = np.abs(sol.cos_amp.components[1:]) + np.abs(sol.sin_amp.components[1:])
     if amp.max() > 0:
         comp = 1 + int(np.argmax(amp))

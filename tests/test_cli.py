@@ -158,6 +158,22 @@ def test_json_output_round_trips(tmp_path):
     assert (tmp_path / "out.json").read_text() == reference
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_free_run_prints_and_tabulates_the_same_in_any_block(tmp_path, monkeypatch, block):
+    # records, monitor and the closed-form oracle run in blocks of rows,
+    # each row by the same expressions, so the summary (residual maxima and
+    # oracle deviations) and the table of this 501-row run have the bits of
+    # one block of all rows
+    scn = json.loads(short_free_scenario(tmp_path).read_text())
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 10**9)
+    lines, (header, table) = _run_free(scn)
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", block)
+    blocked_lines, (blocked_header, blocked_table) = _run_free(scn)
+    assert (blocked_lines, blocked_header) == (lines, header)
+    assert blocked_table.tobytes() == table.tobytes()
+    assert any("max |x - exact|" in line for line in lines)
+
+
 SPECIAL_ROW = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 2.0, 0.1]
 
 

@@ -1,19 +1,22 @@
+import dataclasses
 import math
 import os
 import pickle
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zitterkit import cli, dynamics
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
     IntegrationDiverged,
+    Trajectory,
     _kernel_source,
     check_superluminal,
     estimate_frequency,
@@ -1132,6 +1135,21 @@ def test_the_pauli_lubanski_vector_stays_orthogonal_to_p(name, m, rapidity, thet
         assert abs(dot(w, FourVector.from_array(p))) <= 2.5e-16 * np.linalg.norm(s) * (p @ p) / m
 
 
+@settings(max_examples=25, deadline=None)
+@given(**BOOSTED_FREE_RUNS)
+def test_the_compton_frequency_is_boost_invariant(m, rapidity, theta, phi, cos_amp, sin_amp):
+    # v - p/m turns at the Compton frequency in proper time in every frame.
+    # The gap is RK4's phase lag, (omega h)^4 / 120 = 4.84e-8 at 128 steps a
+    # period whatever the boost: over 3000 draws (a tenth at the corners of
+    # the ranges; 2 and 3 periods) it read 4.8340e-8 to 4.8361e-8 of omega
+    assume(any(cos_amp) or any(sin_amp))
+    sol, traj = boosted_free_run(m, rapidity, theta, phi, cos_amp, sin_amp, 2, 128)
+    zbw = traj["v"] - traj["p"] / m
+    comp = 1 + int(np.argmax(np.abs(zbw[:, 1:]).max(axis=0)))
+    omega = ModelParams(m=m).compton_frequency
+    assert abs(estimate_frequency(traj.times, zbw[:, comp]) - omega) <= 5e-8 * omega
+
+
 def test_integration_diverged_survives_pickling():
     # a public exception keeps its fields through pickling
     exc = IntegrationDiverged("step 7 is not finite", last_time=0.5, nonfinite=((1, 2),),
@@ -1154,6 +1172,76 @@ def test_monitor_names_what_a_non_canonical_run_lacks(name, missing):
     traj = INTEGRATORS[name](0.01, 1e-3)
     with pytest.raises(KeyError, match=f"'{missing}' is neither a record nor a block"):
         monitor(traj)
+
+
+def _post_processed(traj, potential, block):
+    """The records of ``traj``'s samples and the monitor report of ``traj``'s
+    times with them, computed in blocks of ``block`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "BLOCK_ROWS", block)
+        records = dynamics._hamilton_records(traj.params, traj.samples, potential)
+        report = monitor(Trajectory(traj.params, traj.times, traj.samples, traj.names, records))
+    return records, report
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([1, 2, 3, 7, 64, None]),
+       length=st.sampled_from([(0, 5), (0, 6), (0, 7), (1, -1), (1, 0), (1, 1), (2, 3)]),
+       name=st.sampled_from(sorted(HAMILTON_POTENTIALS)), start=st.sampled_from([0, 1]),
+       tail=st.integers(0, 3), nan_at=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_the_post_processing_has_the_bits_of_one_block(block, length, name, start, tail,
+                                                       nan_at):
+    # records and monitor run block by block (None is a block of all rows),
+    # each row by the same expressions, so every block size B gives the bits
+    # of one block, for runs of 5, 6, 7, B-1, B, B+1 and 2B+3 rows, also
+    # with a nonuniform tail of `tail` samples and a NaN planted in one v
+    blocks, rows = length
+    n = max(5, blocks * (block or 64) + rows)
+    potential = HAMILTON_POTENTIALS[name]
+    traj = integrate_hamilton(PhasePoint.from_array(_hamilton_starts()[start]), PARAMS,
+                              potential, (n - 1) * 1e-3, 1e-3)
+    assert len(traj) == n
+    times, samples = traj.times.copy(), traj.samples.copy()
+    tail = min(tail, n - 5)
+    if tail:
+        times[n - tail:] += 5e-4 * np.arange(1, tail + 1)
+    if nan_at is not None:
+        samples[int(nan_at * (n - 1)), 9] = np.nan
+    traj = Trajectory(PARAMS, times, samples, traj.names, {})
+    records, report = _post_processed(traj, potential, block or n)
+    one_records, one_report = _post_processed(traj, potential, 10**9)
+    assert records.keys() == one_records.keys()
+    for key, value in records.items():
+        assert value.tobytes() == one_records[key].tobytes(), key
+    assert (np.array(dataclasses.astuple(report)).tobytes()
+            == np.array(dataclasses.astuple(one_report)).tobytes())
+    if nan_at is not None:
+        assert math.isnan(report.pv_constraint) and math.isnan(report.spin_momentum_residual)
+
+
+def _post_processing_excess(rows):
+    """The traced peak of the records and monitor of a free run of ``rows``
+    samples, above the run's own arrays and the records it keeps, in MiB."""
+    sol = standard_solution()
+    traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, (rows - 1) * 1e-3, 1e-3)
+    tracemalloc.start()
+    try:
+        records = dynamics._hamilton_records(PARAMS, traj.samples, None)
+        monitor(Trajectory(PARAMS, traj.times, traj.samples, traj.names, records))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - sum(record.nbytes for record in records.values())) / 2**20
+
+
+def test_the_post_processing_memory_does_not_grow_with_the_run():
+    # its temporaries are bounded by BLOCK_ROWS: over free runs of 31,417
+    # and 125,665 rows the peak above the kept records read 2.88 and 2.89
+    # MiB (one block of all rows: 15.3 and 61.4 MiB).  4 MiB leaves a
+    # margin of 1.1 MiB, and 0.25 MiB of growth is 25x the measured 0.01
+    short, long = (_post_processing_excess(rows) for rows in (31_417, 125_665))
+    assert short <= 4.0 and long <= 4.0
+    assert long - short <= 0.25
 
 
 def test_zbw_square_stays_spacelike_for_orthogonal_amplitudes(standard_run):
