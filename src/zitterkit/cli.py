@@ -340,10 +340,12 @@ def _span(scn: dict) -> tuple[float, float, int]:
     return integ["t_end"], integ["dt"], integ.get("stride", 1)
 
 
-# the fewest rows worth a process of their own.  On a 2-vCPU VM a second
-# process (fork, reap, temporary file) cost ~3 ms and a 19-column row
-# 11-17 us to format, so two parts broke even at ~550 rows in all and saved
-# 12 ms of 37 at 2048; 1024 rows a part keeps a fourfold margin
+# the fewest rows worth a process of their own.  On a 2-vCPU VM, in a
+# process holding free_cmf's run, a second process (fork, reap, temporary
+# file) cost ~6 ms and a 19-column row 7-8 us to format in blocks (medians
+# of 60 alternations), so two parts broke even at ~1900 rows in all, saved
+# 0.6 ms of 16 at 2048 and 4 ms of 29 at 4096; 1024 rows a part stays
+# just above that break-even
 ROWS_PER_PART = 1024
 
 
@@ -353,27 +355,52 @@ def _csv_parts(n_rows: int) -> int:
     return max(1, min(usable_cpus(), n_rows // ROWS_PER_PART))
 
 
-def _format_rows(fh, line: str, rows: np.ndarray):
-    # rows are formatted and written one at a time: joining a whole
-    # table first would hold a second copy of it in memory
-    for row in rows:
-        fh.write(line % tuple(row.tolist()))
+# rows a block of the CSV and JSON writers: one ``%`` or ``json.dumps``
+# call a block, in which a CSV column whose bits do not change is formatted
+# once.  On a 2-vCPU VM (one CPU, 30 interleaved passes over the four
+# canonical tables, 84,827 rows), blocks of 64, 256, 1024 and 4096 rows
+# took 0.596, 0.581, 0.596 and 0.601 s, with traced peaks of 0.06, 0.22,
+# 0.87 and 3.6 MiB on free_cmf; 256 rows without folding took 0.696 s and
+# a row a call 0.805 s.  256 is as fast as any and bounds the peak near
+# 0.2 MiB whatever the run's length
+FORMAT_ROWS = 256
 
 
-def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts: int):
+def _blocks(rows, lo: int, hi: int):
+    """The stacked blocks of at most FORMAT_ROWS rows that cover rows lo..hi-1."""
+    for a in range(lo, hi, FORMAT_ROWS):
+        yield rows[a:min(a + FORMAT_ROWS, hi)]
+
+
+def _format_rows(fh, fmt: str, rows, lo: int, hi: int):
+    """Write rows lo..hi-1 of ``rows`` to ``fh``, each value as ``fmt % value``.
+
+    Each block is one ``%`` call.  A column whose values have the same bits
+    on every row of the block (so -0.0 is not 0.0) is the literal
+    ``fmt % value`` in that call's line; every byte is the same as per value.
+    """
+    for block in _blocks(rows, lo, hi):
+        bits = block.view(np.uint64)
+        folded = (bits == bits[0]).all(axis=0)
+        line = ",".join(fmt % value if fold else fmt
+                        for value, fold in zip(block[0].tolist(), folded.tolist())) + "\n"
+        fh.write((line * len(block)) % tuple(block[:, ~folded].ravel().tolist()))
+
+
+def _write_csv(path: str, header: list[str], rows, prec: int, parts: int):
     """Write ``rows`` under ``header`` to ``path`` as CSV, each value to
     ``prec`` significant digits, formatted by ``parts`` processes.
 
-    The rows are cut into ``parts`` contiguous slices.  Through fork_jobs,
+    The rows are cut into ``parts`` contiguous ranges.  Through fork_jobs,
     this process formats the first straight into ``path`` and a child
-    formats each other slice into its own part, which is appended in order.
-    Every row is formatted alike in every process, so the bytes do not
-    depend on ``parts``, nor on whether a slice was formatted again here
-    after its child failed.  The file is complete when it returns.
+    formats each other range into its own part, which is appended in order.
+    Every value is formatted alike in every process and block, so the bytes
+    do not depend on ``parts``, nor on whether a range was formatted again
+    here after its child failed.  The file is complete when it returns.
     """
     import shutil
 
-    line = ",".join([f"%.{prec}g"] * len(header)) + "\n"
+    fmt = f"%.{prec}g"
     bounds = [len(rows) * k // parts for k in range(parts + 1)]
 
     def append(k, part):
@@ -382,12 +409,12 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray, prec: int, parts:
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fork_jobs([lambda: _format_rows(fh, line, rows[:bounds[1]])]
-                   + [lambda part, k=k: _format_rows(part, line, rows[bounds[k]:bounds[k + 1]])
+        fork_jobs([lambda: _format_rows(fh, fmt, rows, 0, bounds[1])]
+                   + [lambda part, k=k: _format_rows(part, fmt, rows, bounds[k], bounds[k + 1])
                       for k in range(1, parts)], append)
 
 
-def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
+def _write_table(scn: dict, header: list[str], rows) -> list[str]:
     out = scn.get("output")
     if out is None:
         return []
@@ -399,8 +426,11 @@ def _write_table(scn: dict, header: list[str], rows: np.ndarray) -> list[str]:
             _write_csv(path, header, rows, prec, _csv_parts(len(rows)))
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"columns": header, "rows": rows.tolist()}, fh)
-                fh.write("\n")
+                # the bytes of json.dump of the whole table, a block at a time
+                fh.write(f'{{"columns": {json.dumps(header)}, "rows": [')
+                for k, block in enumerate(_blocks(rows, 0, len(rows))):
+                    fh.write((", " if k else "") + json.dumps(block.tolist())[1:-1])
+                fh.write("]}\n")
     except OSError as exc:
         exc.filename = path  # a failed write or flush names no file
         raise
@@ -434,7 +464,7 @@ def _summarize_hamilton(traj: dynamics.Trajectory, lines: list[str]):
         lines.extend(_fmt_items(dynamics.monitor(traj).as_dict()))
 
 
-def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
+def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], dynamics.TableRows]]:
     params = _model_from(scn)
     init = scn["initial"]
     sol = dynamics.make_free_solution(
@@ -469,7 +499,7 @@ def _run_free(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     return lines, traj.table("tau", _HAMILTON_COLUMNS)
 
 
-def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
+def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], dynamics.TableRows]]:
     params = _model_from(scn)
     init = scn["initial"]
     potential = _potential_from(scn)
@@ -481,7 +511,7 @@ def _run_hamilton(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     return lines, traj.table("tau", _HAMILTON_COLUMNS)
 
 
-def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
+def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], dynamics.TableRows]]:
     params = _model_from(scn)
     init = scn["initial"]
     stack = [FourVector(*entry) for entry in init["stack"]]
@@ -499,7 +529,7 @@ def _run_general_n(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
     return lines, traj.table("tau", ["x", *orders])
 
 
-def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], np.ndarray]]:
+def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], dynamics.TableRows]]:
     params = _model_from(scn)
     init = scn["initial"]
     pot = _potential_from(scn)

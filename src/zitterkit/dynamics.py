@@ -27,6 +27,7 @@ __all__ = [
     "IntegrationDiverged",
     "FreeSolution",
     "Trajectory",
+    "TableRows",
     "Residuals",
     "residual",
     "MonitorReport",
@@ -479,7 +480,7 @@ class Trajectory:
             raise KeyError(f"{name!r} is neither a record nor a block of {list(self.names)}")
         return self.samples[:, columns[0]:columns[-1] + 1]
 
-    def table(self, time: str, names) -> tuple[list[str], np.ndarray]:
+    def table(self, time: str, names) -> tuple[list[str], TableRows]:
         """``(header, rows)`` of a table of the times, headed ``time``, and
         the entry ``self[name]`` of each name.  An entry of k > 1 columns
         is headed by its name with the indices 4 - k .. 3, so a 4-vector
@@ -490,7 +491,23 @@ class Trajectory:
             header += ([name] if column.ndim == 1
                        else [f"{name}{i}" for i in range(4 - column.shape[1], 4)])
             columns.append(column)
-        return header, np.column_stack(columns)
+        return header, TableRows(tuple(columns))
+
+
+@dataclass(frozen=True, eq=False)
+class TableRows:
+    """The rows of a table whose columns are a run's own read-only arrays,
+    each of shape (N,) or (N, k).  ``len(rows)`` is N, and ``rows[a:b]``
+    stacks only rows a..b-1, with the bits ``np.column_stack`` of all
+    columns would give them, so the whole table is never built."""
+
+    columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.column_stack([column[rows] for column in self.columns])
 
 
 def _hamilton_records(params: ModelParams, samples, potential: ScalarPotential | None):

@@ -1219,9 +1219,10 @@ def test_the_post_processing_has_the_bits_of_one_block(block, length, name, star
         assert math.isnan(report.pv_constraint) and math.isnan(report.spin_momentum_residual)
 
 
-def _post_processing_excess(rows):
-    """The traced peak of the records and monitor of a free run of ``rows``
-    samples, above the run's own arrays and the records it keeps, in MiB."""
+def _post_processing_peaks(rows):
+    """Traced peaks over a free run of ``rows`` samples, in MiB: of its
+    records and monitor, above the run's own arrays and the records it
+    keeps; and of its CSV table, ``traj.table`` and ``_write_table``."""
     sol = standard_solution()
     traj = integrate_hamilton(sol.initial_phase_point(), PARAMS, None, (rows - 1) * 1e-3, 1e-3)
     tracemalloc.start()
@@ -1231,7 +1232,14 @@ def _post_processing_excess(rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - sum(record.nbytes for record in records.values())) / 2**20
+    tracemalloc.start()
+    try:
+        header, table = traj.table("tau", cli._HAMILTON_COLUMNS)
+        cli._write_table({"output": {"path": os.devnull}}, header, table)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - sum(record.nbytes for record in records.values())) / 2**20, table_peak / 2**20
 
 
 def test_the_post_processing_memory_does_not_grow_with_the_run():
@@ -1239,9 +1247,16 @@ def test_the_post_processing_memory_does_not_grow_with_the_run():
     # and 125,665 rows the peak above the kept records read 2.88 and 2.89
     # MiB (one block of all rows: 15.3 and 61.4 MiB).  4 MiB leaves a
     # margin of 1.1 MiB, and 0.25 MiB of growth is 25x the measured 0.01
-    short, long = (_post_processing_excess(rows) for rows in (31_417, 125_665))
+    (short, short_table), (long, long_table) = (
+        _post_processing_peaks(rows) for rows in (31_417, 125_665))
     assert short <= 4.0 and long <= 4.0
     assert long - short <= 0.25
+    # the CSV table is stacked and written a block of cli.FORMAT_ROWS rows
+    # at a time: its peak read 0.23 MiB at both lengths (the whole table
+    # stacked: 4.69 and 18.35 MiB).  0.5 MiB is twice the measured peak,
+    # and 0.05 MiB of growth is 100x the measured 0.0003
+    assert short_table <= 0.5 and long_table <= 0.5
+    assert long_table - short_table <= 0.05
 
 
 def test_zbw_square_stays_spacelike_for_orthogonal_amplitudes(standard_run):
