@@ -340,12 +340,11 @@ def _span(scn: dict) -> tuple[float, float, int]:
     return integ["t_end"], integ["dt"], integ.get("stride", 1)
 
 
-# the fewest rows worth a process of their own.  On a 2-vCPU VM, in a
-# process holding free_cmf's run, a second process (fork, reap, temporary
-# file) cost ~6 ms and a 19-column row 7-8 us to format in blocks (medians
-# of 60 alternations), so two parts broke even at ~1900 rows in all, saved
-# 0.6 ms of 16 at 2048 and 4 ms of 29 at 4096; 1024 rows a part stays
-# just above that break-even
+# the fewest rows worth a process of their own: on a 2-vCPU VM two parts
+# broke even at ~1900 rows in all (a second process ~6 ms, a row 7-8 us).
+# Every benchmark table has at least 2048 rows, so only short runs, tier-1's
+# and small user runs, write in one part; one part for every table cost
+# canonical_io's wall_s +41% (medians of 8 alternating perfbench pairs)
 ROWS_PER_PART = 1024
 
 
@@ -668,8 +667,8 @@ def run_verify(suite: str, seed: int, points: int) -> int:
                                       onshell_points=min(points, 20))),
         ("monitors", monitor_suite)) if suite in ("all", name)]
     if len(runs) > 1 and usable_cpus() > 1:
-        # the monitor suite, the longest, runs in a child; dirac's LAPACK
-        # calls stay in this process
+        # the monitor suite, the longest, runs in a child (in sequence, verify_suites'
+        # wall_s read +38%, peak_rss_mb +10.6 MiB); dirac's LAPACK calls stay here
         import pickle
 
         here, away = fork_jobs([lambda: [run() for run in runs[:-1]],

@@ -124,16 +124,17 @@ def _kernel_source(text, stacked=False, held=()) -> str:
     kernel's own names start with ``_``.  A stage assigns only the names
     that the form's lines and result read, and the step time ``_t`` is
     computed only when the form reads the time (an error builds it from
-    the same expression).  Each component of ``held`` (see :func:`_held`)
-    is assigned to its name once, before the loop, and has no stage value,
-    rate, compensation term, finite check or swap; it is still stored with
-    every sample.  The two bindings differ only in the line that stores a
-    sample:
+    the same expression); assigning them all cost verify_suites' ``wall_s``
+    +6.6%.  Each component of ``held`` (see :func:`_held`) is assigned to
+    its name once, before the loop, and has no stage value, rate,
+    compensation term, finite check or swap; it is still stored with every
+    sample.  The two bindings differ only in the line that stores a sample:
 
     - floats: the n floats are packed as native doubles straight into
       ``samples``, the bytes of the C-ordered float64 samples (``_pack``, a
       ``struct.Struct.pack_into``), which stores the same bits as
-      ``samples[j] = ...`` at a third of its cost;
+      ``samples[j] = ...`` at a third of its cost (that store cost
+      verify_suites' ``wall_s`` +14%);
     - ``stacked``: the columns are stacked into ``samples[j]``.
     """
     args, time, lines, result, constants = text
@@ -189,9 +190,8 @@ def run({params}):
 
 @functools.cache
 def _straight_line_rk4(text, stacked=False, held=()):
-    """The compiled :func:`_kernel_source` of ``text``, ``stacked`` and
-    ``held``: compiled on first use and kept for each text, binding and
-    held set, whatever the values of its constants."""
+    """The compiled :func:`_kernel_source` of its arguments, kept for each
+    text, binding and held set whatever the values of the constants."""
     n = len(text[0])
     return define("run", _kernel_source(text, stacked, held), f"<rk4 straight line n={n}>",
                   _isfinite=(lambda z: np.isfinite(z).all()) if stacked else math.isfinite,
@@ -205,7 +205,9 @@ def _held(text, y) -> tuple:
     float literal ``0.0`` and whose start is finite and keeps its bits
     under ``+ 0.0`` (so is not -0.0).  Every stage value y + h * 0.0 of
     such a component is then y, and its compensated update leaves y and a
-    zero compensation term as they are, so holding it changes no bit."""
+    zero compensation term as they are, so holding it changes no bit.
+    Holding none cost verify_suites' ``wall_s`` +16% (as every cost in this
+    module, medians of 8 alternating perfbench pairs on a 2-vCPU VM)."""
     return tuple(c for c, node in enumerate(elements(text[3], len(text[0])) or ())
                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
                  and node.value == 0.0 and math.isfinite(y[c])
@@ -227,10 +229,10 @@ def _float_rk4(form: FloatForm, y, t0, dt, n_steps, stride, rows) -> np.ndarray:
 
 
 # the fewest component-steps (n_steps times the state's width) worth
-# splitting a 1-D state across processes.  On a 2-vCPU VM a second process
-# (fork, pin, reap) cost ~6 ms, so splitting the nonrel harmonic and the
-# free canonical forms (12 and 16 components) broke even at ~45k
-# component-steps and saved 9-16 ms at 96k-128k; 100k keeps a twofold margin
+# splitting a 1-D state across processes.  On a 2-vCPU VM splitting 12- and
+# 16-component forms broke even at ~45k; 100k keeps a twofold margin.  Every
+# splittable benchmark run is above it (the closest, superluminal, has
+# 100,528), so only short runs, tier-1's and small user runs, stay on one CPU
 SPLIT_WORK = 100_000
 
 
@@ -247,18 +249,15 @@ def _bins(groups, count: int) -> list:
 def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
     """The samples of :func:`rk4_path` for the 1-D state ``y``, one process
     per bin of columns: each bin is the :func:`_float_rk4` run of its
-    restricted form, the first in this process and each other in a forked
-    child, which writes its samples to its part for this process to put in
-    their columns; a bin whose child fails runs again here (see
-    :func:`~zitterkit.forks.fork_jobs`).  Returns None, with no child left,
-    if a bin raised."""
-    parts = [form.restricted(columns) for columns in bins]
-    for part, columns in zip(parts, bins):  # compiled here, for every child
-        _straight_line_rk4(part.text, False, _held(part.text, y[columns].tolist()))
+    restricted form, built and compiled by the process that runs it, the
+    first here and each other in a forked child, which writes its samples to
+    its part for this process to put in their columns; a bin whose child
+    fails runs again here (see :func:`~zitterkit.forks.fork_jobs`).  Returns
+    None, with no child left, if a bin raised."""
     samples = np.empty((rows, len(y)))
 
     def run(k):
-        return _float_rk4(parts[k], y[bins[k]], t0, dt, n_steps, stride, rows)
+        return _float_rk4(form.restricted(bins[k]), y[bins[k]], t0, dt, n_steps, stride, rows)
 
     def put(k, block):
         samples[:, bins[k]] = block.reshape(rows, len(bins[k]))
@@ -286,9 +285,8 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     elementwise loops both round IEEE doubles with no fused multiply-add.
     Each member of a stack then gets the same times and samples as its own
     run.  The loop assigns only the names the form reads, and a 1-D run
-    holds fixed each component whose rate is the literal ``0.0`` and whose
-    start is finite and not -0.0 (see :func:`_held`), such as p in a free
-    canonical run; both give the same bits as the full loop.  Returns
+    holds fixed its :func:`_held` components, such as p in a free canonical
+    run; both give the same bits as the full loop.  Returns
     ``(times, samples)`` where samples are recorded every ``stride`` steps
     plus the final step.  The state update uses compensated summation so
     that long runs stay truncation-limited rather than roundoff-limited.
@@ -301,12 +299,12 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     balanced by component count, and each bin runs as the 1-D state of its
     :meth:`~FloatForm.restricted` form, the first in this process and each
     other in a forked child pinned to a CPU of its own, which returns its
-    samples through its part (see :mod:`zitterkit.forks`).  Each bin holds
-    fixed the :func:`_held` components of its own start, and each component
-    is computed by the same operations as in one process, so the samples
-    are the same bits.  A bin whose child fails runs again in this
-    process; if a bin raises, the whole state runs again in this process,
-    which raises the same error as a run on one CPU.
+    samples through its part (see :mod:`zitterkit.forks`).  Each bin builds
+    its form, picks its held components and compiles its kernel in the
+    process that runs it.  Each component is computed by the same operations
+    as in one process, so the samples are the same bits.  A bin whose child
+    fails runs again in this process; if a bin raises, the whole state runs
+    again in this process, which raises the same error as a run on one CPU.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)

@@ -2,10 +2,9 @@
 
 :func:`fork_jobs` is the one helper that the CSV writer, ``verify`` and the
 RK4 driver use to run work in parallel.  Each child it forks pins itself to
-one usable CPU other than the one its parent runs on, so that the two do
-not share a CPU while another idles; a pinned child then sees one usable
-CPU, so nothing it runs forks again.  Every child returns its result through
-its part, an unnamed temporary file: CSV text, a pickled suite result or the
+a usable CPU of its own (see :func:`_child_cpus`), so it sees one usable CPU
+and nothing it runs forks again.  Every child returns its result through its
+part, an unnamed temporary file: CSV text, a pickled suite result or the
 bytes of RK4 samples.  A job whose child fails runs again in the parent.
 """
 
@@ -29,8 +28,11 @@ def usable_cpus() -> int:
 
 def _child_cpus() -> list:
     """The usable CPUs other than the one this process last ran on (field 39
-    of ``/proc/self/stat``), for the children to take in turn; empty where
-    that field or the affinity calls are missing."""
+    of ``/proc/self/stat``), for the children to take in turn, so that a
+    child and its parent do not share a CPU while another idles; empty where
+    that field or the affinity calls are missing.  Without pinning (a child
+    told by a flag that it has one CPU), canonical_io's and nonrel_loop's
+    peak_rss_mb read +0.2 MiB in 15 of 16 perfbench pairs; wall_s held."""
     try:
         with open("/proc/self/stat", "rb") as fh:
             cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])

@@ -1435,6 +1435,16 @@ def test_a_split_run_gives_the_one_cpu_samples_bit_for_bit(monkeypatch, case, st
     _assert_no_child_left()
 
 
+def test_each_split_bin_compiles_its_kernel_in_the_process_that_runs_it(monkeypatch):
+    rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
+    forked = _split_on(monkeypatch, 2)
+    dynamics._straight_line_rk4.cache_clear()
+    rk4_path(rates, y0, 0.0, 1e-2, 100)
+    # the kernel of the bin run here; the child compiled its own
+    assert len(forked) == 1 and dynamics._straight_line_rk4.cache_info().currsize == 1
+    _assert_no_child_left()
+
+
 def test_a_gaussian_or_stacked_run_does_not_split(monkeypatch):
     gaussian = _nr_rates(monkeypatch, Potential3D.gaussian_barrier(0.5, 0.3))
     harmonic = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
