@@ -232,7 +232,8 @@ def _float_rk4(form: FloatForm, y, t0, dt, n_steps, stride, rows) -> np.ndarray:
 # splitting a 1-D state across processes.  On a 2-vCPU VM splitting 12- and
 # 16-component forms broke even at ~45k; 100k keeps a twofold margin.  Every
 # splittable benchmark run is above it (the closest, superluminal, has
-# 100,528), so only short runs, tier-1's and small user runs, stay on one CPU
+# 100,528), so only short runs, tier-1's and small user runs, stay on one CPU;
+# at 100k a 12-component nonrel state took 24.3, 19.1 and 21.1 ms in 1, 2 and 3 bins
 SPLIT_WORK = 100_000
 
 
@@ -254,12 +255,15 @@ def _split_rk4(form: FloatForm, bins, y, t0, dt, n_steps, stride, rows):
     its part for this process to put in their columns; a bin whose child
     fails runs again here (see :func:`~zitterkit.forks.fork_jobs`).  Returns
     None, with no child left, if a bin raised."""
-    samples = np.empty((rows, len(y)))
+    samples = None
 
     def run(k):
         return _float_rk4(form.restricted(bins[k]), y[bins[k]], t0, dt, n_steps, stride, rows)
 
-    def put(k, block):
+    def put(k, block):  # bin 0's first: its build and compile run before the samples exist
+        nonlocal samples
+        if samples is None:
+            samples = np.empty((rows, len(y)))
         samples[:, bins[k]] = block.reshape(rows, len(bins[k]))
 
     try:
@@ -295,11 +299,13 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     A 1-D state whose form has two or more :attr:`~FloatForm.groups` of
     components (every built-in potential but the gaussian, and free runs)
     runs in parallel when at least two CPUs are usable and ``n_steps`` times
-    n reaches SPLIT_WORK: the groups are dealt into one bin per usable CPU,
+    n reaches SPLIT_WORK: the groups are dealt into one bin per usable CPU
+    (one per group where that is one bin more, three axes on two CPUs),
     balanced by component count, and each bin runs as the 1-D state of its
     :meth:`~FloatForm.restricted` form, the first in this process and each
-    other in a forked child pinned to a CPU of its own, which returns its
-    samples through its part (see :mod:`zitterkit.forks`).  Each bin builds
+    other in a forked child pinned to another CPU, which returns its samples
+    through its part; a child that shares a CPU takes this process's once
+    the first bin is done (see :mod:`zitterkit.forks`).  Each bin builds
     its form, picks its held components and compiles its kernel in the
     process that runs it.  Each component is computed by the same operations
     as in one process, so the samples are the same bits.  A bin whose child
@@ -323,8 +329,10 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
                                                 samples, *form.constants.values())
         return times, samples
     if n_steps * len(y) >= SPLIT_WORK:
-        groups = form.groups
-        count = min(usable_cpus(), len(groups))
+        groups, cpus = form.groups, usable_cpus()
+        # one group more than CPUs: a bin per group, and the parent lends its CPU
+        # once its bin is done (see fork_jobs).  Without: nonrel_loop wall_s +9.3%
+        count = len(groups) if cpus > 1 and len(groups) == cpus + 1 else min(cpus, len(groups))
         if count > 1:
             samples = _split_rk4(form, _bins(groups, count), y, t0, dt, n_steps, stride,
                                  len(steps))

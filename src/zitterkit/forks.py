@@ -1,11 +1,12 @@
 """Jobs run side by side in forked processes.
 
 :func:`fork_jobs` is the one helper that the CSV writer, ``verify`` and the
-RK4 driver use to run work in parallel.  Each child it forks pins itself to
-a usable CPU of its own (see :func:`_child_cpus`), so it sees one usable CPU
-and nothing it runs forks again.  Every child returns its result through its
-part, an unnamed temporary file: CSV text, a pickled suite result or the
-bytes of RK4 samples.  A job whose child fails runs again in the parent.
+RK4 driver use to run work in parallel.  Each child pins itself to a usable
+CPU other than the parent's, or shares one until the parent's CPU is free
+(see :func:`_child_cpus`), so it sees one usable CPU and nothing it runs
+forks again.  Every child returns its result through its part, an unnamed
+temporary file: CSV text, a pickled suite result or the bytes of RK4
+samples.  A job whose child fails runs again in the parent.
 """
 
 from __future__ import annotations
@@ -48,16 +49,18 @@ def fork_jobs(jobs: list, collect) -> list:
 
     Child k first pins itself to the k-th of the usable CPUs other than
     this process's, in turn; where that CPU is unknown or
-    ``os.sched_setaffinity`` raises OSError, it runs unpinned.  A child
-    leaves through ``os._exit``: 0 once its job has returned and ``part``
-    is flushed, 1 if the job raised.  Then the children are reaped in
-    order, calling ``collect(k, part)`` with ``part`` rewound.  A job whose
-    child exits non-zero, or whose ``os.fork`` raises OSError, first runs
-    again here on its emptied part, so every result and every error is
-    that of a run in one process.  A later job may write only to its part,
-    which makes that second run safe.  Returns what ``jobs[0]`` and each
-    ``collect`` returned.  No child outlives the call and every part is
-    closed, whether it returns or raises.
+    ``os.sched_setaffinity`` raises OSError, it runs unpinned.  Once
+    ``jobs[0]`` has returned, a last child that shares child 1's CPU is
+    re-pinned to this process's CPU; an OSError there is ignored too.  A
+    child leaves through ``os._exit``: 0 once its job has returned and
+    ``part`` is flushed, 1 if the job raised.  Then the children are
+    reaped in order, calling ``collect(k, part)`` with ``part`` rewound.
+    A job whose child exits non-zero, or whose ``os.fork`` raises OSError,
+    first runs again here on its emptied part, so every result and every
+    error is that of a run in one process.  A later job may write only to
+    its part, which makes that second run safe.  Returns what ``jobs[0]``
+    and each ``collect`` returned.  No child outlives the call and every
+    part is closed, whether it returns or raises.
     """
     import signal
     import tempfile
@@ -84,6 +87,11 @@ def fork_jobs(jobs: list, collect) -> list:
                 os._exit(0)
             children[-1][0] = pid
         values = [jobs[0]()]
+        if len(children) > len(cpus) > 0 and children[-1][0] is not None:
+            try:  # child 1's CPU-mate takes this one.  Without: nonrel_loop wall_s +17%
+                os.sched_setaffinity(children[-1][0], os.sched_getaffinity(0) - set(cpus))
+            except OSError:
+                pass
         for k, child in enumerate(children, start=1):
             pid, part = child
             if pid is not None:

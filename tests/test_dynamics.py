@@ -1429,7 +1429,8 @@ def test_a_split_run_gives_the_one_cpu_samples_bit_for_bit(monkeypatch, case, st
     times, one = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)  # 7 does not divide 200
     forked = _split_on(monkeypatch, cpus)
     split_times, split = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)
-    assert len(forked) == min(cpus, len(rates.groups)) - 1 > 0
+    # a bin per group where there is one group more than CPUs, else one per CPU
+    assert len(forked) == {(3, 2): 2, (3, 3): 2, (4, 2): 1, (4, 3): 3}[len(rates.groups), cpus]
     assert np.array_equal(split_times, times)
     _assert_bit_identical(split, one)
     _assert_no_child_left()
@@ -1440,8 +1441,8 @@ def test_each_split_bin_compiles_its_kernel_in_the_process_that_runs_it(monkeypa
     forked = _split_on(monkeypatch, 2)
     dynamics._straight_line_rk4.cache_clear()
     rk4_path(rates, y0, 0.0, 1e-2, 100)
-    # the kernel of the bin run here; the child compiled its own
-    assert len(forked) == 1 and dynamics._straight_line_rk4.cache_info().currsize == 1
+    # the kernel of the bin run here; each child compiled its own
+    assert len(forked) == 2 and dynamics._straight_line_rk4.cache_info().currsize == 1
     _assert_no_child_left()
 
 
@@ -1453,7 +1454,7 @@ def test_a_gaussian_or_stacked_run_does_not_split(monkeypatch):
     rk4_path(harmonic, np.array([_nr_state(s0) for s0 in NR_STARTS]), 0.25, 1e-2, 50)
     assert forked == []
     rk4_path(harmonic, _nr_state(NR_STARTS[1]), 0.25, 1e-2, 50)
-    assert len(forked) == 1
+    assert len(forked) == 2
 
 
 def _assert_no_child_left():
@@ -1463,7 +1464,7 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("axis, where", [(0, "parent"), (1, "child")])
 def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where):
-    # the harmonic groups (0, 3, 6, 9) and (2, 5, 8, 11) run here, (1, 4, 7, 10) in the child
+    # the harmonic group (0, 3, 6, 9) runs here, (1, 4, 7, 10) and (2, 5, 8, 11) in children
     rates = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
     y0 = np.zeros(12)
     y0[axis] = 1.0
@@ -1473,7 +1474,7 @@ def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where
     forked = _split_on(monkeypatch, 2)
     with pytest.raises(IntegrationDiverged) as split:
         rk4_path(rates, y0, 0.0, 10.0, 100)
-    assert len(forked) == 1
+    assert len(forked) == 2
     one, split = one.value, split.value
     assert str(split) == str(one)
     assert (split.last_time, split.nonfinite) == (one.last_time, one.nonfinite)
@@ -1508,9 +1509,9 @@ def test_a_parent_bin_that_raises_leaves_no_child_and_no_open_part(monkeypatch, 
     start = time.monotonic()
     with pytest.raises(error, match="bin failed") as raised:
         rk4_path(rates, y0, 0.0, 1e-2, 100)
-    assert len(forked) == 1 and time.monotonic() - start < 30
+    assert len(forked) == 2 and time.monotonic() - start < 30
     # closed, not merely unreferenced: the traceback held here keeps every frame
-    assert raised.tb is not None and len(parts) == 1 and parts[0].closed
+    assert raised.tb is not None and len(parts) == 2 and all(part.closed for part in parts)
     _assert_no_child_left()
 
 
@@ -1539,7 +1540,7 @@ def test_a_child_bin_that_dies_gives_the_one_cpu_samples(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_straight_line_rk4", dying)
     _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
-    assert len(forked) == 1
+    assert len(forked) == 2
     _assert_bit_identical(split, one)
     _assert_no_child_left()
 
@@ -1559,7 +1560,7 @@ def test_a_split_run_overflows_as_quietly_as_one_cpu(monkeypatch, capfd):
             runs.append(rk4_path(rates, y0, 0.0, 1e-3, 10_000, 100)[1])
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capfd.readouterr().err == ""
-    assert len(forked) == 1
+    assert len(forked) == 2
     _assert_bit_identical(runs[1], runs[0])
     _assert_no_child_left()
 
