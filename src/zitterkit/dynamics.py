@@ -233,7 +233,7 @@ def _float_rk4(form: FloatForm, y, t0, dt, n_steps, stride, rows) -> np.ndarray:
 # 16-component forms broke even at ~45k; 100k keeps a twofold margin.  Every
 # splittable benchmark run is above it (the closest, superluminal, has
 # 100,528), so only short runs, tier-1's and small user runs, stay on one CPU;
-# at 100k a 12-component nonrel state took 24.3, 19.1 and 21.1 ms in 1, 2 and 3 bins
+# at 100k a 12-component nonrel state took 28.9, 23.3 and 30.8 ms in 1, 2 and 3 bins
 SPLIT_WORK = 100_000
 
 
@@ -303,14 +303,14 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
     (one per group where that is one bin more, three axes on two CPUs),
     balanced by component count, and each bin runs as the 1-D state of its
     :meth:`~FloatForm.restricted` form, the first in this process and each
-    other in a forked child pinned to another CPU, which returns its samples
-    through its part; a child that shares a CPU takes this process's once
-    the first bin is done (see :mod:`zitterkit.forks`).  Each bin builds
-    its form, picks its held components and compiles its kernel in the
-    process that runs it.  Each component is computed by the same operations
-    as in one process, so the samples are the same bits.  A bin whose child
-    fails runs again in this process; if a bin raises, the whole state runs
-    again in this process, which raises the same error as a run on one CPU.
+    other in a forked child, which returns its samples through its part
+    (see :mod:`zitterkit.forks`); the kernel shares the CPUs among the bins.
+    Each bin builds its form, picks its held components and compiles its
+    kernel in the process that runs it.  Each component is computed by the
+    same operations as in one process, so the samples are the same bits.  A
+    bin whose child fails runs again in this process; if a bin raises, the
+    whole state runs again in this process, which raises the same error as a
+    run on one CPU.
     """
     _require_positive("dt", dt)
     steps = _sample_steps(n_steps, stride)
@@ -330,8 +330,8 @@ def rk4_path(rates, y0, t0: float, dt: float, n_steps: int, stride: int = 1):
         return times, samples
     if n_steps * len(y) >= SPLIT_WORK:
         groups, cpus = form.groups, usable_cpus()
-        # one group more than CPUs: a bin per group, and the parent lends its CPU
-        # once its bin is done (see fork_jobs).  Without: nonrel_loop wall_s +9.3%
+        # one group more than CPUs: a bin per group, which the kernel time-shares
+        # over the CPUs.  Without: nonrel_loop wall_s +10.2% (0.550 -> 0.606 s)
         count = len(groups) if cpus > 1 and len(groups) == cpus + 1 else min(cpus, len(groups))
         if count > 1:
             samples = _split_rk4(form, _bins(groups, count), y, t0, dt, n_steps, stride,

@@ -696,9 +696,9 @@ def test_verify_breach_exits_1(capsys, monkeypatch):
 def verify_on(cpus, argv, capfd):
     """``main(argv)`` run as if this process may run on ``cpus`` CPUs: its
     exit code, stdout and stderr, and how many children it and its
-    descendants forked.  A forked child sees one CPU, as a pinned child
-    does."""
-    here, fork = os.getpid(), os.fork
+    descendants forked.  A forked child may run on as many, so it forks no
+    further only because ``usable_cpus`` reads 1 there."""
+    fork = os.fork
     handle, log = tempfile.mkstemp()
     os.close(handle)
 
@@ -711,8 +711,7 @@ def verify_on(cpus, argv, capfd):
 
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity",
-                          lambda pid: set(range(cpus if os.getpid() == here else 1)))
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             patch.setattr(os, "fork", counted_fork)
             code = main(argv)
         with open(log, encoding="utf-8") as fh:
@@ -743,133 +742,23 @@ def test_verify_of_one_suite_runs_in_process(capfd, suite):
     assert "verification result: PASS" in out
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="pinning needs two usable CPUs")
-def test_a_pinned_child_sees_one_usable_cpu():
-    # so the monitor suite's child of `verify --suite all` forks no further
+def test_a_forked_child_sees_one_usable_cpu_and_its_parent_its_own(monkeypatch):
+    # so the monitor suite's child of `verify --suite all` forks no further;
+    # a job whose child fails runs again here, with this process's count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    parent = os.getpid()
+
     def report(part):
-        part.write(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+        part.write(str(usable_cpus()))
 
-    here, cpus = fork_jobs([usable_cpus, report], lambda k, part: part.read())
-    assert here == len(os.sched_getaffinity(0)) > 1
-    assert len(cpus.split()) == 1 and int(cpus) in os.sched_getaffinity(0)
+    def dies_in_a_child(part):
+        if os.getpid() != parent:
+            os._exit(3)
+        report(part)
 
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """This process pinned to two of its usable CPUs for the test; returns
-    those two and the list of every ``(pid, cpus)`` re-pin this process
-    asks for, which a child's own pin (pid 0, in the child) is not."""
-    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("lending needs two usable CPUs")
-    usable, pin, repins = os.sched_getaffinity(0), os.sched_setaffinity, []
-
-    def recorded(pid, cpus):
-        if pid:
-            repins.append((pid, set(cpus)))
-        pin(pid, cpus)
-
-    pin(0, sorted(usable)[:2])
-    monkeypatch.setattr(os, "sched_setaffinity", recorded)
-    try:
-        yield os.sched_getaffinity(0), repins
-    finally:
-        pin(0, usable)
-
-
-def _cpus_after(started, gate):
-    """A later job that writes to the pipe ``started`` once its child has
-    pinned itself, and reports its CPUs once ``gate``, a pipe, is written."""
-    def job(part):
-        os.write(started, b"x")
-        os.read(gate, 1)
-        json.dump(sorted(os.sched_getaffinity(0)), part)
-    return job
-
-
-def test_the_parent_lends_its_cpu_to_the_child_that_shares_one(two_cpus):
-    # three jobs on two CPUs: both children start on the CPU the parent did
-    # not last run on; once jobs[0] returns, child 2 takes the parent's
-    both, repins = two_cpus
-    started, first, second = os.pipe(), os.pipe(), os.pipe()
-
-    def run_first():  # returns once both children have pinned themselves
-        for _ in range(2):
-            os.read(started[0], 1)
-        os.write(first[1], b"x")
-
-    def collect(k, part):
-        if k == 1:  # child 2 has been re-pinned by now
-            os.write(second[1], b"x")
-        return json.load(part)
-
-    try:
-        _, one, two = fork_jobs([run_first, _cpus_after(started[1], first[0]),
-                                 _cpus_after(started[1], second[0])], collect)
-    finally:
-        for fd in started + first + second:
-            os.close(fd)
-    assert len(one) == len(two) == 1 and set(one + two) == both
-    assert [cpus for _, cpus in repins] == [set(two)]
+    values = fork_jobs([usable_cpus, report, dies_in_a_child], lambda k, part: int(part.read()))
+    assert values == [3, 1, 3] and usable_cpus() == 3
     _assert_no_child_left()
-
-
-def test_two_jobs_repin_nothing(two_cpus):
-    both, repins = two_cpus
-    started, gate = os.pipe(), os.pipe()
-    try:
-        _, one = fork_jobs([lambda: os.read(started[0], 1) and os.write(gate[1], b"x"),
-                            _cpus_after(started[1], gate[0])],
-                           lambda k, part: json.load(part))
-    finally:
-        for fd in started + gate:
-            os.close(fd)
-    assert len(one) == 1 and set(one) < both and repins == []
-
-
-@pytest.mark.parametrize("last", ["exited", "refused"])
-def test_a_last_child_that_cannot_be_repinned_raises_nothing(monkeypatch, two_cpus, last):
-    forked, fork, pin = [], os.fork, os.sched_setaffinity
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def first():
-        if last == "exited":  # child 2 a zombie, not yet reaped
-            os.waitid(os.P_PID, forked[-1], os.WEXITED | os.WNOWAIT)
-
-    def refuse_repins(pid, cpus):
-        if pid:
-            raise PermissionError("refused")
-        pin(pid, cpus)
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    if last == "refused":
-        monkeypatch.setattr(os, "sched_setaffinity", refuse_repins)
-    report = lambda part: part.write(str(os.getpid()))  # noqa: E731
-    values = fork_jobs([first, report, report], lambda k, part: int(part.read()))
-    assert values == [None] + forked
-    _assert_no_child_left()
-
-
-def _refuse(*args, **kwargs):
-    raise PermissionError("refused")
-
-
-@pytest.mark.parametrize("refused", ["the parent's CPU", "the affinity call"])
-def test_a_child_that_cannot_be_pinned_runs_unpinned(monkeypatch, refused):
-    if refused == "the parent's CPU":
-        monkeypatch.setattr("zitterkit.forks.open", _refuse, raising=False)  # /proc/self/stat
-    else:
-        monkeypatch.setattr(os, "sched_setaffinity", _refuse)
-    def report(part):  # the pid shows that the job ran in a child, not again here
-        json.dump([os.getpid(), sorted(os.sched_getaffinity(0))], part)
-
-    _, (pid, cpus) = fork_jobs([lambda: None, report], lambda k, part: json.load(part))
-    assert pid != os.getpid() and cpus == sorted(os.sched_getaffinity(0))
 
 
 def test_verify_failing_monitor_suite_in_the_child_exits_1(monkeypatch, capfd):
