@@ -10,7 +10,6 @@ gamma-matrix operator identity checks.
 
 from .brackets import (
     BRACKET_ORIENTATION,
-    PhaseFunction,
     bracket_rate,
     canonical_spin_function,
     coordinate,

@@ -6,12 +6,13 @@ through the metric on the stored contravariant components:
     {f, g} = g^{mn} (df/dx^m dg/dp^n - df/dp^m dg/dx^n)
            + g^{mn} (df/dq^m dg/dpi^n - df/dpi^m dg/dq^n)
 
-Phase functions take a ``(..., 16)`` array of points ordered (x, p, q, pi):
-x at indices 0-3, p at 4-7, q at 8-11 and pi at 12-15, each block holding
-contravariant components.  They return one value per row, so every gradient
-is one batched evaluation of the function at its 32 perturbed points.  All
-partial derivatives are central finite differences with coordinate-relative
-step (:func:`zitterkit.lagrangian.central_gradient`).
+Phase functions are plain callables ``f(y)`` of a ``(..., 16)`` array of
+points ordered (x, p, q, pi): x at indices 0-3, p at 4-7, q at 8-11 and pi
+at 12-15, each block holding contravariant components.  They return one
+value per row, so every gradient is one batched evaluation of the function
+at its 32 perturbed points.  All partial derivatives are central finite
+differences with coordinate-relative step ``STEP``
+(:func:`zitterkit.lagrangian.central_gradient`).
 
 Orientation.  Under this metric the literal bracket above yields
 {H, x} = -q, the opposite of the first canonical evolution equation
@@ -25,7 +26,6 @@ the literal bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .minkowski import inner, wedge
 
 __all__ = [
     "BRACKET_ORIENTATION",
-    "PhaseFunction",
     "poisson",
     "bracket_rate",
     "coordinate",
@@ -48,22 +47,10 @@ __all__ = [
 #: Global sign relating the literal bracket to evolution: dG/dtau = -{H, G}.
 BRACKET_ORIENTATION = -1.0
 
+#: Relative step of every finite-difference partial derivative.
+STEP = 1e-4
+
 _BLOCKS = {"x": slice(0, 4), "p": slice(4, 8), "q": slice(8, 12), "pi": slice(12, 16)}
-
-
-@dataclass(frozen=True)
-class PhaseFunction:
-    """Real-valued function on phase space, with a label.
-
-    ``fn`` maps a ``(..., 16)`` array ordered (x, p, q, pi) to one value per
-    row (see the module docstring for the index map).
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.fn(y)
 
 
 def _combine(gf: np.ndarray, gg: np.ndarray) -> float:
@@ -73,41 +60,37 @@ def _combine(gf: np.ndarray, gg: np.ndarray) -> float:
     return float((inner(f[:, 0], g[:, 1]) - inner(f[:, 1], g[:, 0])).sum())
 
 
-def poisson(f: PhaseFunction, g: PhaseFunction, s: PhasePoint, h: float = 1e-4) -> float:
+def poisson(f, g, s: PhasePoint) -> float:
     """Literal finite-difference Poisson bracket {f, g} at the point s."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
     y0 = s.as_array()
-    return _combine(central_gradient(f, y0, h), central_gradient(g, y0, h))
+    return _combine(central_gradient(f, y0, STEP), central_gradient(g, y0, STEP))
 
 
-def bracket_rate(hamiltonian_fn: PhaseFunction, g: PhaseFunction, s: PhasePoint,
-                 h: float = 1e-4) -> float:
+def bracket_rate(hamiltonian_fn, g, s: PhasePoint) -> float:
     """Evolution rate of g generated by the Hamiltonian, with the pinned
     global orientation applied (see module docstring)."""
-    return BRACKET_ORIENTATION * poisson(hamiltonian_fn, g, s, h)
+    return BRACKET_ORIENTATION * poisson(hamiltonian_fn, g, s)
 
 
-def coordinate(block: str, mu: int) -> PhaseFunction:
+def coordinate(block: str, mu: int):
     """Coordinate function for one contravariant component of x, p, q or pi."""
     if block not in _BLOCKS:
         raise ValueError(f"block must be one of {sorted(_BLOCKS)}, got {block!r}")
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"index must be 0..3, got {mu}")
     i = _BLOCKS[block].start + mu
-    return PhaseFunction(fn=lambda y: y[..., i], label=f"{block}^{mu}")
+    return lambda y: y[..., i]
 
 
-def hamiltonian_function(params: ModelParams) -> PhaseFunction:
+def hamiltonian_function(params: ModelParams):
     """The free scalar Hamiltonian of the n=1 theory as a phase function,
     :func:`zitterkit.lagrangian.hamiltonian_rows`."""
-    return PhaseFunction(fn=lambda y: hamiltonian_rows(params, y), label="H")
+    return lambda y: hamiltonian_rows(params, y)
 
 
-def canonical_spin_function(mu: int, nu: int) -> PhaseFunction:
+def canonical_spin_function(mu: int, nu: int):
     """Canonical spin-tensor component q^mu pi^nu - q^nu pi^mu."""
-    return PhaseFunction(fn=lambda y: wedge(y[..., 8:12], y[..., 12:16])[..., mu, nu],
-                         label=f"S^{mu}{nu}")
+    return lambda y: wedge(y[..., 8:12], y[..., 12:16])[..., mu, nu]
 
 
 @dataclass(frozen=True)
@@ -126,17 +109,17 @@ class AppendixBracketReport(Residuals):
     spin_max: float = residual("{H,S} spin-tensor rate")
 
 
-def verify_appendix(params: ModelParams, s: PhasePoint, h: float = 1e-4) -> AppendixBracketReport:
+def verify_appendix(params: ModelParams, s: PhasePoint) -> AppendixBracketReport:
     """Evaluate the five bracket-form evolution identities of the free n=1
     theory at one phase-space point and report their residual maxima."""
     y0 = s.as_array()
-    gh = central_gradient(hamiltonian_function(params), y0, h)  # raises unless n=1
+    gh = central_gradient(hamiltonian_function(params), y0, STEP)  # raises unless n=1
     m = params.m
     k1 = params.k1
     sgn = BRACKET_ORIENTATION
 
-    def rate(g: PhaseFunction) -> float:
-        return sgn * _combine(gh, central_gradient(g, y0, h))
+    def rate(g) -> float:
+        return sgn * _combine(gh, central_gradient(g, y0, STEP))
 
     r_p = max(abs(rate(coordinate("p", mu))) for mu in range(4))
     r_x = max(abs(rate(coordinate("x", mu)) - s.q[mu]) for mu in range(4))

@@ -365,12 +365,6 @@ def _csv_parts(n_rows: int) -> int:
 FORMAT_ROWS = 256
 
 
-def _blocks(rows, lo: int, hi: int):
-    """The stacked blocks of at most FORMAT_ROWS rows that cover rows lo..hi-1."""
-    for a in range(lo, hi, FORMAT_ROWS):
-        yield rows[a:min(a + FORMAT_ROWS, hi)]
-
-
 def _format_rows(fh, fmt: str, rows, lo: int, hi: int):
     """Write rows lo..hi-1 of ``rows`` to ``fh``, each value as ``fmt % value``.
 
@@ -378,7 +372,8 @@ def _format_rows(fh, fmt: str, rows, lo: int, hi: int):
     on every row of the block (so -0.0 is not 0.0) is the literal
     ``fmt % value`` in that call's line; every byte is the same as per value.
     """
-    for block in _blocks(rows, lo, hi):
+    for span in dynamics.row_blocks(hi, FORMAT_ROWS, lo):
+        block = rows[span]
         bits = block.view(np.uint64)
         folded = (bits == bits[0]).all(axis=0)
         line = ",".join(fmt % value if fold else fmt
@@ -427,8 +422,8 @@ def _write_table(scn: dict, header: list[str], rows) -> list[str]:
             with open(path, "w", encoding="utf-8") as fh:
                 # the bytes of json.dump of the whole table, a block at a time
                 fh.write(f'{{"columns": {json.dumps(header)}, "rows": [')
-                for k, block in enumerate(_blocks(rows, 0, len(rows))):
-                    fh.write((", " if k else "") + json.dumps(block.tolist())[1:-1])
+                for k, span in enumerate(dynamics.row_blocks(len(rows), FORMAT_ROWS)):
+                    fh.write((", " if k else "") + json.dumps(rows[span].tolist())[1:-1])
                 fh.write("]}\n")
     except OSError as exc:
         exc.filename = path  # a failed write or flush names no file
@@ -458,7 +453,7 @@ _HAMILTON_COLUMNS = ("x", "v", "a", "H", "s", "res_zbw", "res_pv")
 
 
 def _summarize_hamilton(traj: dynamics.Trajectory, lines: list[str]):
-    if len(traj) >= 5:
+    if dynamics.monitorable(traj):
         lines.append("conservation and identity residual maxima:")
         lines.extend(_fmt_items(dynamics.monitor(traj).as_dict()))
 
@@ -545,7 +540,7 @@ def _run_nonrel(scn: dict) -> tuple[list[str], tuple[list[str], dynamics.TableRo
         "kinetic energy change": dkin,
         "work-energy residual": abs(work - dkin),
     }))
-    intervals = nonrel.barrier_report(traj, pot)
+    intervals = nonrel.barrier_report(traj)
     if intervals:
         lines.append("barrier intervals (U > E_total with v^2 > 0):")
         for iv in intervals:
@@ -580,14 +575,13 @@ def _worst(reports, tol: float) -> tuple[bool, list[str]]:
     return all(value <= tol for value, _ in worst.values()), lines
 
 
-def bracket_suite(seed: int = 1, points: int = 100, h: float = 1e-4,
-                  tol: float = 1e-9) -> SuiteResult:
+def bracket_suite(seed: int = 1, points: int = 100, tol: float = 1e-9) -> SuiteResult:
     """Appendix bracket identities at seeded random phase points in [-1,1]^16."""
     rng = SplitMix64(seed)
     params = ModelParams(m=1.0)
     states = (PhasePoint.from_array(rng.uniforms(16, -1.0, 1.0)) for _ in range(points))
-    ok, worst_lines = _worst((brackets.verify_appendix(params, s, h=h) for s in states), tol)
-    lines = [f"bracket suite: seed={seed} points={points} h={h:g} "
+    ok, worst_lines = _worst((brackets.verify_appendix(params, s) for s in states), tol)
+    lines = [f"bracket suite: seed={seed} points={points} h={brackets.STEP:g} "
              f"orientation={brackets.BRACKET_ORIENTATION:+.0f} tol={tol:g}"]
     return SuiteResult(name="brackets", ok=ok, lines=lines + worst_lines)
 

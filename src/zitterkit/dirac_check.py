@@ -171,7 +171,7 @@ class OnshellReport(Residuals):
     zbw_identity_max: float = residual("velocity equation on subspace")
 
 
-def verify_onshell_zbw(p: FourVector, m: float, tol: float = 1e-10) -> OnshellReport:
+def verify_onshell_zbw(p: FourVector, m: float) -> OnshellReport:
     """Operator form of the velocity equation restricted to physical states.
 
     Requires p on the mass shell.  Projected onto the eigenvalue-m eigenspace
@@ -179,7 +179,7 @@ def verify_onshell_zbw(p: FourVector, m: float, tol: float = 1e-10) -> OnshellRe
     -4 m^2 g^mu + 4 m p^mu and the velocity operator obeys
     g^mu = p^mu / m - rate(accel)^mu / (4 m^2).
     """
-    check_on_shell(p, m, tol)
+    check_on_shell(p, m)
     sl = slash(p)
     eigvals = np.linalg.eigvals(sl)
     dim = int(np.sum(np.abs(eigvals - m) <= 1e-8 * max(1.0, abs(m))))

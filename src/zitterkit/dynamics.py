@@ -21,7 +21,8 @@ from .forks import fork_jobs, usable_cpus
 from .forms import FloatForm, assignments, check_names, define, elements
 from .lagrangian import (ModelParams, PhasePoint, ScalarPotential, canonical_momentum,
                          hamiltonian_rows)
-from .minkowski import METRIC, FourVector, check_on_shell, dot, inner, spin_vector, wedge
+from .minkowski import (METRIC, SHELL_TOL, FourVector, check_on_shell, dot, inner, spin_vector,
+                        wedge)
 
 __all__ = [
     "IntegrationDiverged",
@@ -38,6 +39,7 @@ __all__ = [
     "integrate_hamilton",
     "integrate_free_general_n",
     "monitor",
+    "monitorable",
     "relative_drift",
     "mean_time_dilation",
     "check_superluminal",
@@ -398,17 +400,18 @@ def _check_spacelike(vec: FourVector, name: str):
 
 def make_free_solution(params: ModelParams, p: FourVector, cos_amp: FourVector,
                        sin_amp: FourVector, x0: FourVector | None = None,
-                       project: bool = False, tol: float = 1e-10) -> FreeSolution:
+                       project: bool = False) -> FreeSolution:
     """Validated free solution of the n=1 theory.
 
     Requires p on the mass shell and both amplitude vectors spacelike and
-    orthogonal to p (so that <p, v> = m holds at all times).  With
-    ``project=True`` the amplitudes are first projected onto the subspace
-    orthogonal to p; the result is re-validated, never silently accepted.
+    orthogonal to p to within SHELL_TOL (so that <p, v> = m holds at all
+    times).  With ``project=True`` the amplitudes are first projected onto
+    the subspace orthogonal to p; the result is re-validated, never
+    silently accepted.
     """
     if params.n != 1:
         raise ValueError(f"free solution requires n=1, got n={params.n}")
-    pp = check_on_shell(p, params.m, tol)
+    pp = check_on_shell(p, params.m)
     if x0 is None:
         x0 = FourVector.zero()
     if project:
@@ -416,7 +419,7 @@ def make_free_solution(params: ModelParams, p: FourVector, cos_amp: FourVector,
     for vec, name in ((cos_amp, "cos_amp"), (sin_amp, "sin_amp")):
         _check_spacelike(vec, name)
         ortho = dot(p, vec)
-        if abs(ortho) > tol:
+        if abs(ortho) > SHELL_TOL:
             raise ValueError(
                 f"{name} must be orthogonal to p (<p,{name}> = {ortho}); "
                 "pass project=True to project it")
@@ -440,9 +443,9 @@ def eval_free(sol: FreeSolution, tau: float) -> tuple[FourVector, FourVector, Fo
 BLOCK_ROWS = 4096
 
 
-def row_blocks(n: int) -> list:
-    """The slices of at most BLOCK_ROWS rows that cover rows 0..n-1 in order."""
-    return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+def row_blocks(n: int, size: int = BLOCK_ROWS, start: int = 0) -> list:
+    """The slices of at most ``size`` rows that cover rows start..n-1 in order."""
+    return [slice(lo, min(lo + size, n)) for lo in range(start, n, size)]
 
 
 def _block_max(n: int, block) -> float:
@@ -712,6 +715,12 @@ def _uniform_prefix(times) -> tuple:
     return h, len(times)
 
 
+def monitorable(traj: Trajectory) -> bool:
+    """Whether :func:`monitor` reports on ``traj``: its first 5 samples are
+    uniformly spaced (a strided run's last step may be shorter)."""
+    return len(traj) >= 5 and _uniform_prefix(traj.times)[1] >= 5
+
+
 def monitor(traj: Trajectory) -> MonitorReport:
     """Conservation and identity report for an n=1 canonical trajectory.
 
@@ -726,11 +735,9 @@ def monitor(traj: Trajectory) -> MonitorReport:
     """
     params = traj.params
     n_total = len(traj)
-    if n_total < 5:
-        raise ValueError(f"monitor needs at least 5 samples, got {n_total}")
-    h, n_uni = _uniform_prefix(traj.times)
-    if n_uni < 5:
+    if not monitorable(traj):
         raise ValueError("monitor needs at least 5 uniformly spaced samples")
+    h, n_uni = _uniform_prefix(traj.times)
 
     m = params.m
     k1 = params.k1
@@ -789,22 +796,25 @@ def relative_drift(values: np.ndarray) -> float:
 TimeDilation = namedtuple("TimeDilation", ["mean_v0", "lorentz"])
 
 
-def _period_velocities(sol: FreeSolution, samples: int) -> np.ndarray:
-    """The velocity of ``sol`` at samples + 1 evenly spaced times spanning one
-    oscillation period, ends included."""
+PERIOD_SAMPLES = 4096
+
+
+def _period_velocities(sol: FreeSolution) -> np.ndarray:
+    """The velocity of ``sol`` at PERIOD_SAMPLES + 1 evenly spaced times
+    spanning one oscillation period, ends included."""
     period = 2.0 * np.pi / sol.omega
-    return sol.sample(np.linspace(0.0, period, samples + 1))[1]
+    return sol.sample(np.linspace(0.0, period, PERIOD_SAMPLES + 1))[1]
 
 
-def mean_time_dilation(sol: FreeSolution, samples: int = 4096) -> TimeDilation:
+def mean_time_dilation(sol: FreeSolution) -> TimeDilation:
     """Average of v^0 over one oscillation period versus the constant p^0/m.
 
     The pointwise v^0(tau) itself is not constant (inspect it through
     ``sol.sample``); only its period mean equals the Lorentz factor p^0/m.
     The mean is measured by trapezoidal quadrature over one exact period.
     """
-    v0 = _period_velocities(sol, samples)[:, 0]
-    mean = float((0.5 * v0[0] + v0[1:-1].sum() + 0.5 * v0[-1]) / samples)
+    v0 = _period_velocities(sol)[:, 0]
+    mean = float((0.5 * v0[0] + v0[1:-1].sum() + 0.5 * v0[-1]) / PERIOD_SAMPLES)
     return TimeDilation(mean_v0=mean, lorentz=float(sol.p[0] / sol.params.m))
 
 
@@ -830,8 +840,8 @@ class SpeedReport:
         return self.cm_speed < self.light_speed
 
 
-def check_superluminal(sol: FreeSolution, samples: int = 4096) -> SpeedReport:
-    v = _period_velocities(sol, samples)
+def check_superluminal(sol: FreeSolution) -> SpeedReport:
+    v = _period_velocities(sol)
     with np.errstate(divide="ignore", invalid="ignore"):
         speeds = np.linalg.norm(v[:, 1:], axis=1) / v[:, 0]
     pc = sol.p.components

@@ -28,7 +28,6 @@ __all__ = [
     "hamiltonian_rows",
     "newton_law_residual",
     "characteristic_frequencies",
-    "companion_roots",
     "central_gradient",
 ]
 
@@ -72,6 +71,10 @@ def coordinates(d: int) -> tuple:
     return tuple(f"x{i}" for i in range(d))
 
 
+#: Relative step of the central differences of a potential without ``grad``.
+GRADIENT_STEP = 1e-6
+
+
 class Potential:
     """Scalar potential U on points of shape (..., D).
 
@@ -85,24 +88,23 @@ class Potential:
     ``partials`` is the callable compiled from it.  A potential given by
     ``fn`` alone or with ``grad`` gets a ``partials`` that stacks the
     coordinates into points (..., D) and runs ``grad`` or, without it, one
-    batched :func:`central_gradient` call; the integrators reach it through
-    the one-line form ``u_partials(x0, ..., x{D-1})``.  There is no
-    per-point fallback: a result of the wrong shape raises ValueError
-    naming ``label``.  Subclasses set the dimension ``dim``.
+    batched :func:`central_gradient` call of step GRADIENT_STEP; the
+    integrators reach it through the one-line form
+    ``u_partials(x0, ..., x{D-1})``.  There is no per-point fallback: a
+    result of the wrong shape raises ValueError naming ``label``.
+    Subclasses set the dimension ``dim``.
     """
 
     dim: int
 
     def __init__(self, fn: Callable, grad: Callable | None = None,
-                 label: str = "potential", step: float = 1e-6,
-                 partials: FloatForm | None = None):
+                 label: str = "potential", partials: FloatForm | None = None):
         if grad is not None and partials is not None:
             raise ValueError(f"potential {label!r}: give grad or partials, not both")
         self._fn = fn
         self._grad = grad
         self.partials = self._stacked_partials if partials is None else partials
         self.label = label
-        self.step = float(step)
 
     @property
     def partials_form(self) -> FloatForm:
@@ -118,7 +120,7 @@ class Potential:
         # np.array packs one point's floats ~10x faster than np.stack
         x = np.array(coords) if isinstance(coords[0], float) else np.stack(coords, axis=-1)
         if self._grad is None:
-            g = central_gradient(self.value_many, x, self.step)
+            g = central_gradient(self.value_many, x, GRADIENT_STEP)
         else:
             g = np.asarray(self._grad(x), dtype=float)
             if g.shape != x.shape:
@@ -339,33 +341,16 @@ def newton_law_residual(params: ModelParams, accel_stack: Sequence[FourVector],
     return FourVector.from_array(_alternating_even_sum(params, accel_stack) - force.components)
 
 
-def companion_roots(coeffs: Sequence[float]) -> np.ndarray:
-    """Roots of a polynomial (coefficients low to high) via the eigenvalues of
-    its companion matrix."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0 or c[-1] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    deg = c.size - 1
-    if deg == 0:
-        return np.array([], dtype=complex)
-    monic = c / c[-1]
-    mat = np.zeros((deg, deg))
-    if deg > 1:
-        mat[1:, :-1] = np.eye(deg - 1)
-    mat[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(mat)
-
-
 def characteristic_frequencies(params: ModelParams) -> list[float]:
     """Positive real oscillation frequencies of the free theory.
 
     Substituting an oscillatory velocity into the homogeneous force law turns
     it into the even polynomial sum(k_i w^(2i)) = 0; the function returns the
     positive real roots w, sorted ascending (possibly empty).  Roots of the
-    polynomial in z = w^2 come from companion-matrix eigenvalues; a root is
-    accepted as real when |Im z| <= 1e-10 |z|.
+    polynomial in z = w^2 come from ``np.roots``, the eigenvalues of its
+    companion matrix; a root is accepted as real when |Im z| <= 1e-10 |z|.
     """
-    roots = companion_roots(params.k)
+    roots = np.roots(params.k[::-1])
     freqs = []
     for z in roots:
         if abs(z.imag) <= 1e-10 * abs(z) and z.real > 0:

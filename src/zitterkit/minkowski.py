@@ -88,11 +88,6 @@ class FourVector:
         """Read-only view of the contravariant components."""
         return self._c
 
-    @property
-    def spatial(self) -> np.ndarray:
-        """The spatial 3-vector part (components 1..3)."""
-        return self._c[1:]
-
     def __getitem__(self, mu: int) -> float:
         return float(self._c[mu])
 
@@ -137,10 +132,14 @@ def lower(u: FourVector) -> np.ndarray:
     return METRIC * u.components
 
 
-def check_on_shell(p: FourVector, m: float, tol: float) -> float:
-    """<p,p>, which must equal m^2 within tol or raise ValueError."""
+#: Tolerance of the mass-shell check of a given momentum.
+SHELL_TOL = 1e-10
+
+
+def check_on_shell(p: FourVector, m: float) -> float:
+    """<p,p>, which must equal m^2 within SHELL_TOL or raise ValueError."""
     pp = dot(p, p)
-    if abs(pp - m * m) > tol:
+    if abs(pp - m * m) > SHELL_TOL:
         raise ValueError(f"p is off shell: <p,p> = {pp}, expected m^2 = {m * m}")
     return pp
 

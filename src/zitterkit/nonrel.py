@@ -264,26 +264,29 @@ class BarrierInterval:
     min_v_squared: float
 
 
-def barrier_report(traj: Trajectory, pot: Potential3D, margin: float = 1e-12,
-                   merge_gap: int = 3) -> list[BarrierInterval]:
+_BARRIER_MARGIN = 1e-12  # of U - E_total and of v^2, against roundoff
+_MERGE_GAP = 3  # forbidden samples fewer apart than this share an interval
+
+
+def barrier_report(traj: Trajectory) -> list[BarrierInterval]:
     """Maximal time intervals with U(x(t)) > E_total and v^2 > 0.
 
-    Strict inequalities with ``margin`` guard against roundoff; intervals
-    separated by fewer than ``merge_gap`` samples are merged.  Returns an
+    U is the run's ``U`` record, from which its ``E_total`` was built.
+    Strict inequalities with a margin of 1e-12 guard against roundoff;
+    intervals separated by fewer than 3 samples are merged.  Returns an
     empty list when the motion never enters a forbidden region (always the
     case for Newtonian runs).
     """
-    u = pot.value_many(traj["x"])
-    excess = u - traj["E_total"]
+    excess = traj["U"] - traj["E_total"]
     v2 = (traj["v"]**2).sum(1)
-    mask = (excess > margin) & (v2 > margin)
+    mask = (excess > _BARRIER_MARGIN) & (v2 > _BARRIER_MARGIN)
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return []
     runs = []
     start = prev = idx[0]
     for i in idx[1:]:
-        if i - prev - 1 < merge_gap:
+        if i - prev - 1 < _MERGE_GAP:
             prev = i
         else:
             runs.append((start, prev))

@@ -154,7 +154,7 @@ def test_c07_classical_tunnel_analogue():
                         a=[0, 0.2, 0], j=[-0.4, 0, 0])
     zero = Potential3D.zero()
     traj = integrate_nr(circle, PARAMS, zero, 2.0, 1e-3)
-    intervals = barrier_report(traj, zero)
+    intervals = barrier_report(traj)
     circle_ok = (len(intervals) == 1
                  and intervals[0].t_start == traj.times[0]
                  and intervals[0].t_end == traj.times[-1]
@@ -173,13 +173,13 @@ def test_c07_classical_tunnel_analogue():
             j=[-0.6 * math.cos(phase), 0.0, 0.0])
         run = integrate_nr(s0, PARAMS, pot, 35.0, 5e-3)
         assert run["E_total"][0] < 0.015
-        if barrier_report(run, pot) and run["x"][-1, 0] > 1.5:
+        if barrier_report(run) and run["x"][-1, 0] > 1.5:
             crossings += 1
 
     # Newtonian control at comparable energy never reports an interval
     v0 = math.sqrt(2 * 0.009)
     control = integrate_newtonian([-3, 0, 0], [v0, 0, 0], PARAMS, pot, 35.0, 5e-3)
-    control_ok = barrier_report(control, pot) == []
+    control_ok = barrier_report(control) == []
 
     ok = circle_ok and crossings >= 1 and control_ok
     report(7, "classical tunnel analogue", ok,

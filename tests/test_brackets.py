@@ -4,7 +4,6 @@ import pytest
 
 from zitterkit.brackets import (
     BRACKET_ORIENTATION,
-    PhaseFunction,
     bracket_rate,
     canonical_spin_function,
     coordinate,
@@ -39,7 +38,7 @@ def test_conjugate_pair_carries_the_metric():
 
 def test_bracket_of_function_with_itself_vanishes():
     rng = np.random.default_rng(1)
-    f = PhaseFunction(lambda y: y[..., 5] * y[..., 10] + 0.3 * y[..., 0], label="f")
+    f = lambda y: y[..., 5] * y[..., 10] + 0.3 * y[..., 0]
     for _ in range(5):
         s = random_point(rng)
         assert abs(poisson(f, f, s)) <= 1e-12
@@ -56,8 +55,8 @@ def test_hamiltonian_conserves_momentum():
 
 def test_antisymmetry_at_random_points():
     rng = np.random.default_rng(3)
-    f = PhaseFunction(lambda y: y[..., 4] * y[..., 9] - 0.2 * y[..., 15] ** 2, label="f")
-    g = PhaseFunction(lambda y: y[..., 2] * y[..., 13] + y[..., 8], label="g")
+    f = lambda y: y[..., 4] * y[..., 9] - 0.2 * y[..., 15] ** 2
+    g = lambda y: y[..., 2] * y[..., 13] + y[..., 8]
     for _ in range(100):
         s = random_point(rng)
         assert abs(poisson(f, g, s) + poisson(g, f, s)) <= 1e-9
@@ -65,10 +64,10 @@ def test_antisymmetry_at_random_points():
 
 def test_leibniz_rule():
     rng = np.random.default_rng(4)
-    f = PhaseFunction(lambda y: y[..., 5] * y[..., 9], label="f")
-    g = PhaseFunction(lambda y: y[..., 1] + 0.5 * y[..., 10], label="g")
-    h = PhaseFunction(lambda y: y[..., 13] - 0.25 * y[..., 0], label="h")
-    gh = PhaseFunction(lambda y: g(y) * h(y), label="gh")
+    f = lambda y: y[..., 5] * y[..., 9]
+    g = lambda y: y[..., 1] + 0.5 * y[..., 10]
+    h = lambda y: y[..., 13] - 0.25 * y[..., 0]
+    gh = lambda y: g(y) * h(y)
     for _ in range(20):
         s = random_point(rng)
         y = s.as_array()
@@ -81,7 +80,7 @@ def test_bracket_linearity_in_scaling():
     rng = np.random.default_rng(5)
     s = random_point(rng)
     hf = hamiltonian_function(PARAMS)
-    scaled = PhaseFunction(lambda y: 3.5 * hf(y), label="3.5*H")
+    scaled = lambda y: 3.5 * hf(y)
     g = coordinate("x", 1)
     assert poisson(scaled, g, s) == pytest.approx(3.5 * poisson(hf, g, s), rel=1e-9, abs=1e-9)
 
@@ -103,7 +102,7 @@ def test_verify_appendix_random_points():
     worst = 0.0
     for _ in range(100):
         s = random_point(rng)
-        report = verify_appendix(PARAMS, s, h=1e-4)
+        report = verify_appendix(PARAMS, s)
         worst = max(worst, report.max_residual)
     assert worst <= 1e-9
 

@@ -338,6 +338,16 @@ def test_summary_names_a_rounded_final_time(tmp_path, capsys):
         "final time 0.501 is +1.00e-03 off t_end=0.5: t_end/dt = 166.666667 rounds to 167 steps"]
 
 
+def test_a_strided_run_with_4_uniform_samples_skips_the_monitor(tmp_path, capsys):
+    # samples at steps 0, 2, 4, 6 and the last, 7: only the first 4 are uniform
+    out = tmp_path / "short.csv"
+    assert main(["run", scenario_path("free_cmf.json"), "--set", "integrator.t_end=0.007",
+                 "--set", "integrator.dt=0.001", "--set", "integrator.stride=2",
+                 "--set", f"output.path={out}"]) == 0
+    assert "residual maxima" not in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 6  # header + 5 samples
+
+
 def test_general_n_scenario_runs(tmp_path, capsys):
     out = tmp_path / "general.csv"
     code = main(["run", scenario_path("general_n2.json"),

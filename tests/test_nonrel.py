@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zitterkit.dynamics import IntegrationDiverged
+from zitterkit.dynamics import IntegrationDiverged, Trajectory
 from zitterkit.lagrangian import ModelParams
 from zitterkit.nonrel import (
     KinState3D,
@@ -303,7 +303,7 @@ def test_barrier_report_newtonian_always_empty():
     pot = Potential3D.gaussian_barrier(0.015, 1.0)
     v0 = math.sqrt(2 * 0.009)  # energy below the barrier top
     traj = integrate_newtonian([-3, 0, 0], [v0, 0, 0], PARAMS, pot, 35.0, 5e-3)
-    assert barrier_report(traj, pot) == []
+    assert barrier_report(traj) == []
     assert traj["x"][-1, 0] < 0  # it turned around
 
 
@@ -311,7 +311,7 @@ def test_barrier_report_free_circle_spans_run():
     s0 = circle_state()
     pot = Potential3D.zero()
     traj = integrate_nr(s0, PARAMS, pot, 2.0, 1e-3)
-    intervals = barrier_report(traj, pot)
+    intervals = barrier_report(traj)
     assert len(intervals) == 1
     iv = intervals[0]
     assert iv.t_start == traj.times[0]
@@ -332,7 +332,7 @@ def test_barrier_crossing_phase_scan():
             j=[-0.6 * math.cos(phase), 0.0, 0.0])
         traj = integrate_nr(s0, PARAMS, pot, 35.0, 5e-3)
         assert traj["E_total"][0] < 0.015  # classically forbidden at the top
-        intervals = barrier_report(traj, pot)
+        intervals = barrier_report(traj)
         if intervals and traj["x"][-1, 0] > 1.5:
             crossings += 1
     assert crossings >= 1
@@ -347,16 +347,39 @@ def test_a_steep_step_overflows_quietly():
         warnings.simplefilter("error")
         traj = integrate_nr(s0, PARAMS, pot, 1.0, 1e-3, stride=100)
         assert not traj["U"].any() and work_integral(traj, pot) == 0.0
-        assert barrier_report(traj, pot) == []
+        assert barrier_report(traj) == []
 
 
 def test_barrier_report_requires_positive_speed():
-    # forbidden region but zero velocity: no interval
+    # forbidden region throughout, but zero velocity at the start: the one
+    # interval begins at the second sample
     pot = Potential3D.uniform_force([0.0, 0.0, 0.0])
     s0 = KinState3D(t=0, x=[0, 0, 0], v=[0, 0, 0], a=[0.2, 0, 0], j=[0, 0, 0])
     traj = integrate_nr(s0, PARAMS, pot, 0.01, 1e-3)
     # kinetic term is negative (E < U = 0) yet v^2 is zero at the start
     assert traj["E_total"][0] < 0
+    [interval] = barrier_report(traj)
+    assert (interval.t_start, interval.t_end) == (traj.times[1], traj.times[-1])
+
+
+def forbidden_samples(indices, n=12):
+    """A run record at unit speed with E_total = 0, and U = 1 on the samples
+    ``indices`` and 0 on the others."""
+    u = np.zeros(n)
+    u[indices] = 1.0
+    return Trajectory(PARAMS, np.arange(n) * 0.1, np.ones((n, 3)), ("v0", "v1", "v2"),
+                      {"U": u, "E_total": np.zeros(n)})
+
+
+def test_barrier_report_merges_stretches_fewer_than_3_samples_apart():
+    # samples 4 and 5 lie between the stretches: one interval
+    traj = forbidden_samples([2, 3, 6, 7])
+    assert [(iv.t_start, iv.t_end) for iv in barrier_report(traj)] == [
+        (traj.times[2], traj.times[7])]
+    # samples 4, 5 and 6 lie between them: two intervals
+    traj = forbidden_samples([2, 3, 7, 8])
+    assert [(iv.t_start, iv.t_end) for iv in barrier_report(traj)] == [
+        (traj.times[2], traj.times[3]), (traj.times[7], traj.times[8])]
 
 
 def test_kinstate_validation():
