@@ -6,8 +6,9 @@ Subcommands:
     schema  print the scenario JSON schema
 
 Exit codes: 0 success, 1 verification tolerance breach, 2 validation failure
-(a scenario path that is not a readable file, or a field rejected by this
-module's own walk over the schema that ``schema`` prints), 3 integration
+(a scenario path that is not a readable file, a field rejected by this
+module's own walk over the schema that ``schema`` prints, or a sample grid
+that numpy cannot allocate, before any step), 3 integration
 divergence, 4 output could not be written.
 """
 

@@ -94,13 +94,18 @@ def step_count(t_end: float, dt: float) -> int:
 def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
     """The steps 0, stride, 2 stride, ... and n_steps at which a run of
     n_steps records a sample; raises ValueError unless stride >= 1 and
-    n_steps >= 0."""
+    n_steps >= 0, and when numpy cannot allocate the grid."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    steps = np.arange(0, n_steps + 1, stride)
-    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+    try:
+        steps = np.arange(0, n_steps + 1, stride)
+        return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+    except MemoryError as exc:
+        count = -(-n_steps // stride) + 1
+        raise ValueError(f"the grid of {count} samples ({n_steps} steps at stride {stride}) "
+                         f"cannot be allocated: {exc}") from exc
 
 
 def _diverged(t_next, last_time, state, last_state) -> IntegrationDiverged:

@@ -129,7 +129,7 @@ class Potential:
         return tuple(g.tolist()) if g.ndim == 1 else tuple(np.moveaxis(g, -1, 0))
 
     def value(self, x) -> float:
-        return float(self._fn(np.asarray(x, dtype=float)))
+        return float(self.value_many(x))
 
     def value_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -466,6 +466,26 @@ def test_non_finite_integrator_value_exits_2(tmp_path, capsys, field):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["free", "hamilton"])
+def test_a_grid_numpy_cannot_allocate_exits_2(tmp_path, capsys, kind):
+    # 10^15 steps: a grid of 7.11 PiB, more than the 128 TiB of address space a
+    # process gets by default, so numpy refuses it at once under any overcommit policy
+    path = short_free_scenario(tmp_path)
+    scn = json.loads(path.read_text())
+    if kind == "hamilton":
+        scn.update(kind="hamilton", initial={"x": [0, 0, 0, 0], "p": [1, 0, 0, 0],
+                                             "q": [1, 0.1, 0, 0], "pi": [0, 0, -0.05, 0],
+                                             "potential": {"type": "harmonic", "k": 0.05}})
+    scn["integrator"].update(t_end=1e15, dt=1.0)
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the grid of 1000000000000001 samples ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _run_must_not_integrate(monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda scn: pytest.fail("the run was started"))
 

@@ -195,6 +195,15 @@ def test_integrators_reject_a_stride_below_one(name, stride):
         INTEGRATORS[name](1.0, 0.1, stride)
 
 
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_integrators_reject_a_grid_numpy_cannot_allocate(name):
+    # 10^15 steps: a grid of 7.11 PiB, which numpy refuses at once
+    with pytest.raises(ValueError, match="the grid of 1000000000000001 samples "
+                                         r"\(1000000000000000 steps at stride 1\) "
+                                         "cannot be allocated"):
+        INTEGRATORS[name](1e15, 1.0)
+
+
 def test_integrate_hamilton_divergence_reports_last_time():
     sol = standard_solution()
     with pytest.raises(IntegrationDiverged) as err:

@@ -151,6 +151,9 @@ def test_non_broadcasting_potential_raises():
     xs = np.zeros((5, 3))
     with pytest.raises(ValueError, match="pointwise"):
         pot.value_many(xs)
+    one_d = Potential3D(lambda x: np.atleast_1d(np.sum(x, -1)), label="one_d")
+    with pytest.raises(ValueError, match=r"potential 'one_d' returned shape \(1,\)"):
+        one_d.value([1.0, 0.0, 0.0])
     bad_grad = Potential3D(lambda x: 0.0, grad=lambda x: np.zeros(3), label="flat")
     with pytest.raises(ValueError, match="flat"):
         bad_grad.gradient(xs)
