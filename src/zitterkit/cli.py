@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import brackets, dirac_check, dynamics, nonrel
-from .dynamics import IntegrationDiverged
 from .forks import fork_jobs, usable_cpus
+from .forms import IntegrationDiverged, step_count
 from .lagrangian import ModelParams, PhasePoint, ScalarPotential, characteristic_frequencies
 from .minkowski import FourVector
 from .rng import SplitMix64
@@ -435,7 +435,7 @@ def _write_table(scn: dict, header: list[str], rows) -> list[str]:
 def _final_time(t_end: float, dt: float) -> list[str]:
     """A line saying where the run ends when step_count had to round
     t_end/dt, so that the final sample is off t_end by more than roundoff."""
-    steps = dynamics.step_count(t_end, dt)
+    steps = step_count(t_end, dt)
     quotient = t_end / dt
     if abs(quotient - steps) <= 1e-9 * steps:
         return []

@@ -185,7 +185,11 @@ class ModelParams:
             if self.n == 0:
                 k = (float(self.m),)
             elif self.n == 1:
-                k = (float(self.m), -self.hbar**2 / (4.0 * self.m * self.c**4))
+                try:
+                    k = (float(self.m), -self.hbar**2 / (4.0 * self.m * self.c**4))
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raise ValueError(f"k1 = -hbar^2/(4 m c^4) leaves the float range at "
+                                     f"hbar={self.hbar}, m={self.m}, c={self.c}") from exc
             else:
                 raise ValueError(f"coefficients k must be given explicitly for n={self.n}")
             object.__setattr__(self, "k", k)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, rk4_path, step_count
-from .forms import FloatForm
+from .dynamics import Trajectory
+from .forms import FloatForm, rk4_path, step_count
 from .lagrangian import ModelParams, Potential, coordinates, potential_parameter
 
 __all__ = [
@@ -103,7 +103,11 @@ class Potential3D(Potential):
     @classmethod
     def gaussian_barrier(cls, height: float, width: float) -> "Potential3D":
         u0 = float(potential_parameter("gaussian", "height", height))
-        sig2 = float(potential_parameter("gaussian", "width", width, positive=True)) ** 2
+        w = float(potential_parameter("gaussian", "width", width, positive=True))
+        if not 0.0 < w * w < np.inf:  # else w ** 2 would raise OverflowError or be 0.0
+            raise ValueError(f"gaussian potential: width squared must be positive and finite, "
+                             f"got {w}")
+        sig2 = w ** 2
         two_sig2 = 2.0 * sig2
 
         def fn(x):

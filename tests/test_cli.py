@@ -26,8 +26,8 @@ from zitterkit.cli import (
     main,
 )
 from zitterkit.dirac_check import verify_heisenberg, verify_onshell_zbw
-from zitterkit.dynamics import IntegrationDiverged
 from zitterkit.forks import fork_jobs, usable_cpus
+from zitterkit.forms import IntegrationDiverged
 from zitterkit.lagrangian import ModelParams, PhasePoint
 from zitterkit.minkowski import FourVector
 from zitterkit.rng import SplitMix64
@@ -98,6 +98,20 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
     bad.write_text('{"kind": "free",')
     assert main(["run", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, setting, message", [
+    ('[{"kind": "verify"}]', "verify.points=2", "{path}: scenario must be a JSON object"),
+    ('{"kind": "verify", "model": {"mass": 1.0}}', "model.mass.x=1",
+     "override path 'model.mass.x' crosses a scalar field"),
+], ids=["json-array", "crosses-a-scalar"])
+def test_a_scenario_that_is_no_object_or_an_override_through_a_scalar_exits_2(
+        tmp_path, monkeypatch, capsys, text, setting, message):
+    _run_must_not_integrate(monkeypatch)
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--set", setting]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
 def test_run_unknown_key_exits_2(tmp_path, capsys):
@@ -544,6 +558,10 @@ NON_FINITE_PARAMETERS = [
     ("nonrel", "gaussian", "height=NaN", "height must be finite, got nan"),
     ("nonrel", "gaussian", "width=NaN", "width must be positive and finite, got nan"),
     ("nonrel", "gaussian", "width=Infinity", "width must be positive and finite, got inf"),
+    # finite widths whose square overflows or underflows to 0.0
+    ("nonrel", "gaussian", "width=1.4e154",
+     "width squared must be positive and finite, got 1.4e+154"),
+    ("nonrel", "gaussian", "width=1e-162", "width squared must be positive and finite, got 1e-162"),
     ("nonrel", "uniform", "force=[0, Infinity, 0]", "force must be finite, got [0.0, inf, 0.0]"),
     ("nonrel", "harmonic", "k=NaN", "k must be finite, got nan"),
     ("nonrel", "step", "height=NaN", "height must be finite, got nan"),
@@ -587,8 +605,9 @@ def test_a_non_finite_potential_parameter_exits_2(tmp_path, capsys, kind, ptype,
      "(top level): Additional properties are not allowed ('extra' was unexpected)"),
     ("nonrel_circle.json", ["integrator.dt=0"],
      "integrator/dt: 0 is less than or equal to the minimum of 0"),
+    ("nonrel_circle.json", ["output.path=."], "output/path: . is a directory or not writable"),
 ], ids=["non-empty", "too-long", "not-one-of", "not-of-type", "unexpected-names", "top-level",
-        "exclusive-minimum"])
+        "exclusive-minimum", "directory"])
 def test_each_message_rule_is_worded_exactly(monkeypatch, capsys, scenario, settings, message):
     _run_must_not_integrate(monkeypatch)
     argv = ["run", scenario_path(scenario)]
@@ -598,6 +617,21 @@ def test_each_message_rule_is_worded_exactly(monkeypatch, capsys, scenario, sett
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: scenario field {message}\n"
+
+
+@pytest.mark.parametrize("setting, values", [
+    ("units.hbar=1e200", "hbar=1e+200, m=1.0, c=1.0"),  # hbar**2 overflows
+    ("units.c=1e-100", "hbar=1.0, m=1.0, c=1e-100"),  # c**4 underflows to 0.0
+], ids=["hbar", "c"])
+def test_a_model_whose_k1_leaves_the_float_range_exits_2(tmp_path, monkeypatch, capsys, setting,
+                                                          values):
+    monkeypatch.setattr("zitterkit.nonrel.rk4_path", lambda *args: pytest.fail("a step ran"))
+    out = tmp_path / "out.csv"
+    assert main(["run", scenario_path("nonrel_harmonic.json"), "--set", setting,
+                 "--set", f"output.path={out}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: k1 = -hbar^2/(4 m c^4) leaves the float range at {values}\n")
+    assert not out.exists()
 
 
 def test_overflowing_step_count_exits_2(capsys, tmp_path):

@@ -12,12 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zitterkit import cli, dynamics
+from zitterkit import cli, dynamics, forms
 from zitterkit.brackets import hamiltonian_function
 from zitterkit.dynamics import (
-    IntegrationDiverged,
     Trajectory,
-    _kernel_source,
     check_superluminal,
     estimate_frequency,
     eval_free,
@@ -26,9 +24,8 @@ from zitterkit.dynamics import (
     make_free_solution,
     mean_time_dilation,
     monitor,
-    rk4_path,
 )
-from zitterkit.forms import FloatForm
+from zitterkit.forms import FloatForm, IntegrationDiverged, _kernel_source, rk4_path
 from zitterkit.lagrangian import (
     ModelParams,
     PhasePoint,
@@ -813,7 +810,7 @@ def test_a_held_free_run_gives_the_bits_of_the_stacked_binding(monkeypatch, valu
     rates = _hamilton_rates(monkeypatch, None)
     y0 = standard_solution().initial_phase_point().as_array()
     y0[5:8] = value
-    assert dynamics._held(rates.text, y0.tolist()) == held
+    assert forms._held(rates.text, y0.tolist()) == held
     if math.isfinite(value):
         _, one = rk4_path(rates, y0, 0.25, 1e-3, 50, 3)
         _, stack = rk4_path(rates, y0[None], 0.25, 1e-3, 50, 3)
@@ -827,7 +824,7 @@ def test_a_held_free_run_gives_the_bits_of_the_stacked_binding(monkeypatch, valu
 def test_a_form_of_zero_rates_holds_each_component_it_can(y0, held):
     form = FloatForm(("a", "b"), "0.0, 0.0", time="t")
     y0 = np.array(y0)
-    assert dynamics._held(form.text, y0.tolist()) == held
+    assert forms._held(form.text, y0.tolist()) == held
     _, one = rk4_path(form, y0, 0.0, 0.1, 10, 3)
     _assert_bit_identical(one, rk4_path(form, y0[None], 0.0, 0.1, 10, 3)[1][:, 0])
 
@@ -875,7 +872,7 @@ def test_the_kernel_of_a_shipped_start_holds_its_zero_rate_components(monkeypatc
         cli.run_scenario(cli.load_scenario(
             os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json")))
     (rates, y0), = runs
-    columns = dynamics._held(rates.text, y0.tolist())
+    columns = forms._held(rates.text, y0.tolist())
     assert tuple(rates.args[c] for c in columns) == held
     source = _kernel_source(rates.text, held=columns)
     stores = [line.split(" = ")[0].strip() for line in source.splitlines() if " = " in line]
@@ -1412,8 +1409,8 @@ def _split_on(monkeypatch, cpus):
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(dynamics, "SPLIT_WORK", 0)
-    monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forms, "SPLIT_WORK", 0)
+    monkeypatch.setattr(forms, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forked
 
@@ -1434,7 +1431,7 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_a_split_run_gives_the_one_cpu_samples_bit_for_bit(monkeypatch, case, stride, cpus):
     rates, y0 = SPLIT_CASES[case](monkeypatch)
-    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(forms, "usable_cpus", lambda: 1)
     times, one = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)  # 7 does not divide 200
     forked = _split_on(monkeypatch, cpus)
     split_times, split = rk4_path(rates, y0, 0.25, 1e-2, 200, stride)
@@ -1448,10 +1445,10 @@ def test_a_split_run_gives_the_one_cpu_samples_bit_for_bit(monkeypatch, case, st
 def test_each_split_bin_compiles_its_kernel_in_the_process_that_runs_it(monkeypatch):
     rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
     forked = _split_on(monkeypatch, 2)
-    dynamics._straight_line_rk4.cache_clear()
+    forms._straight_line_rk4.cache_clear()
     rk4_path(rates, y0, 0.0, 1e-2, 100)
     # the kernel of the bin run here; each child compiled its own
-    assert len(forked) == 2 and dynamics._straight_line_rk4.cache_info().currsize == 1
+    assert len(forked) == 2 and forms._straight_line_rk4.cache_info().currsize == 1
     _assert_no_child_left()
 
 
@@ -1477,7 +1474,7 @@ def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where
     rates = _nr_rates(monkeypatch, Potential3D.harmonic(1.0))
     y0 = np.zeros(12)
     y0[axis] = 1.0
-    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(forms, "usable_cpus", lambda: 1)
     with pytest.raises(IntegrationDiverged) as one:
         rk4_path(rates, y0, 0.0, 10.0, 100)
     forked = _split_on(monkeypatch, 2)
@@ -1495,7 +1492,7 @@ def test_a_diverging_split_run_raises_the_one_cpu_error(monkeypatch, axis, where
 def _failing_bins(monkeypatch, failing, error):
     """Make every kernel raise ``error`` in the ``failing`` process (parent
     or child), and the child's sleep for a minute otherwise."""
-    parent, kernel = os.getpid(), dynamics._straight_line_rk4
+    parent, kernel = os.getpid(), forms._straight_line_rk4
 
     def broken(text, stacked=False, held=()):
         run = kernel(text, stacked, held)
@@ -1507,7 +1504,7 @@ def _failing_bins(monkeypatch, failing, error):
             return run(*args) if here else time.sleep(60)
         return guarded
 
-    monkeypatch.setattr(dynamics, "_straight_line_rk4", broken)
+    monkeypatch.setattr(forms, "_straight_line_rk4", broken)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -1526,7 +1523,7 @@ def test_a_parent_bin_that_raises_leaves_no_child_and_no_open_part(monkeypatch, 
 
 def test_a_failing_child_bin_runs_that_bin_here(monkeypatch):
     rates, y0 = SPLIT_CASES["hamilton-none"](monkeypatch)
-    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(forms, "usable_cpus", lambda: 1)
     _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     forked = _split_on(monkeypatch, 2)
     _failing_bins(monkeypatch, "child", RuntimeError)
@@ -1538,16 +1535,16 @@ def test_a_failing_child_bin_runs_that_bin_here(monkeypatch):
 
 def test_a_child_bin_that_dies_gives_the_one_cpu_samples(monkeypatch):
     rates, y0 = SPLIT_CASES["nr-harmonic"](monkeypatch)
-    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(forms, "usable_cpus", lambda: 1)
     _, one = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     forked = _split_on(monkeypatch, 2)
-    parent, kernel = os.getpid(), dynamics._straight_line_rk4
+    parent, kernel = os.getpid(), forms._straight_line_rk4
 
     def dying(text, stacked=False, held=()):
         run = kernel(text, stacked, held)
         return lambda *args: run(*args) if os.getpid() == parent else os._exit(9)
 
-    monkeypatch.setattr(dynamics, "_straight_line_rk4", dying)
+    monkeypatch.setattr(forms, "_straight_line_rk4", dying)
     _, split = rk4_path(rates, y0, 0.0, 1e-2, 100, 3)
     assert len(forked) == 2
     _assert_bit_identical(split, one)
@@ -1562,7 +1559,7 @@ def test_a_split_run_overflows_as_quietly_as_one_cpu(monkeypatch, capfd):
     y0[0] = -1.0
     forked, runs = _split_on(monkeypatch, 2), []
     for cpus in (1, 2):
-        monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forms, "usable_cpus", lambda: cpus)
         capfd.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1580,4 +1577,4 @@ def test_a_split_run_overflows_as_quietly_as_one_cpu(monkeypatch, capfd):
     (((0, 4), (1, 5), (2, 6), (3, 7)), 3, [[0, 3, 4, 7], [1, 5], [2, 6]]),
 ])
 def test_bins_balance_the_component_count_largest_first(groups, count, bins):
-    assert dynamics._bins(groups, count) == bins
+    assert forms._bins(groups, count) == bins

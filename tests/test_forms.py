@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import zitterkit
 from zitterkit import dynamics, forms, nonrel
-from zitterkit.dynamics import integrate_free_general_n, integrate_hamilton, rk4_path
-from zitterkit.forms import FloatForm
+from zitterkit.dynamics import integrate_free_general_n, integrate_hamilton
+from zitterkit.forms import FloatForm, rk4_path
 from zitterkit.lagrangian import ModelParams, PhasePoint, ScalarPotential, coordinates
 from zitterkit.minkowski import FourVector
 from zitterkit.nonrel import KinState3D, Potential3D, integrate_newtonian, integrate_nr
@@ -139,8 +139,8 @@ def test_stacks_and_floats_run_one_source(case):
     # the executions (floats, columns) are bindings of one generated step
     # loop; only the line that stores a sample is written for each
     text = CASES[case]().text
-    floats = dynamics._kernel_source(text).splitlines()
-    columns = dynamics._kernel_source(text, stacked=True).splitlines()
+    floats = forms._kernel_source(text).splitlines()
+    columns = forms._kernel_source(text, stacked=True).splitlines()
     assert len(floats) == len(columns)
     differ = [(a.strip(), b.strip()) for a, b in zip(floats, columns) if a != b]
     assert len(differ) == 1
@@ -149,19 +149,19 @@ def test_stacks_and_floats_run_one_source(case):
 
 
 def test_one_kernel_serves_every_strength_and_mass():
-    dynamics._straight_line_rk4.cache_clear()
+    forms._straight_line_rk4.cache_clear()
     s0 = KinState3D(t=0.0, x=[1.0, 0, 0], v=[0, 0.5, 0], a=[0, 0, 0], j=[0, 0, 0])
     for strength in (1.0, 2.0):
         for mass in (1.0, 2.0):
             integrate_nr(s0, ModelParams(m=mass), Potential3D.harmonic(strength), 1e-2, 1e-3)
-    info = dynamics._straight_line_rk4.cache_info()
+    info = forms._straight_line_rk4.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
 
 
 def test_importing_the_cli_compiles_nothing():
     code = ("import zitterkit.cli\n"
-            "from zitterkit import dynamics, forms\n"
-            "print(dynamics._straight_line_rk4.cache_info().currsize,"
+            "from zitterkit import forms\n"
+            "print(forms._straight_line_rk4.cache_info().currsize,"
             " forms._maker.cache_info().currsize)\n")
     src = os.path.dirname(os.path.dirname(zitterkit.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -47,6 +47,21 @@ def test_params_validation():
         ModelParams(m=1.0, n=2, k=(1.0, -1.0, -0.5))  # k2 sign
 
 
+@pytest.mark.parametrize("units", [{"hbar": 1e200}, {"c": 1e-100}, {"c": 1e100}])
+def test_a_default_k1_out_of_the_float_range_names_hbar_m_and_c(units):
+    # hbar**2 or c**4 overflows, or c**4 underflows to 0.0 and the division fails
+    given = {"hbar": 1.0, "c": 1.0, **units}
+    with pytest.raises(ValueError) as err:
+        ModelParams(m=2.0, **units)
+    assert str(err.value) == (f"k1 = -hbar^2/(4 m c^4) leaves the float range at "
+                              f"hbar={given['hbar']}, m=2.0, c={given['c']}")
+
+
+@pytest.mark.parametrize("hbar, m, c", [(1e150, 1.0, 1.0), (1.0, 1.0, 1e-70), (0.1, 3.0, 2.0)])
+def test_a_finite_default_k1_keeps_its_bits(hbar, m, c):
+    assert ModelParams(m=m, hbar=hbar, c=c).k1 == -hbar**2 / (4.0 * m * c**4)
+
+
 def test_lagrangian_value_examples():
     v = FourVector(1, 0, 0, 0)
     assert lagrangian_value(ModelParams(m=1.0, n=0), [v]) == pytest.approx(0.5)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from zitterkit.dynamics import IntegrationDiverged, Trajectory
+from zitterkit.dynamics import Trajectory
+from zitterkit.forms import IntegrationDiverged
 from zitterkit.lagrangian import ModelParams
 from zitterkit.nonrel import (
     KinState3D,
